@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -41,7 +42,7 @@ from conestab.stability import (
 from conestab.svg import fan_svg
 from conestab.verify import VERIFY_SUITES, TrialConfig, moment_map
 
-SUITE_NAMES = ("main-theorem", "star-equivalence", "intcone", "hm-reduction", "r0")
+SUITE_NAMES = tuple(VERIFY_SUITES)
 
 
 class InputError(Exception):
@@ -85,13 +86,23 @@ def _to_vec2_triple(value, name: str) -> tuple[tuple[int, int], ...]:
 
 
 def load_config(path: str) -> dict:
+    def finite(text: str) -> float:
+        value = float(text)
+        if not math.isfinite(value):
+            raise InputError(f"config {path}: non-finite number {text} is not allowed")
+        return value
+
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+            doc = json.load(fh, parse_constant=finite, parse_float=finite)
     except OSError as e:
         raise InputError(f"cannot read config {path}: {e}") from None
+    except UnicodeDecodeError as e:
+        raise InputError(f"config {path} is not valid UTF-8: {e}") from None
     except json.JSONDecodeError as e:
         raise InputError(f"config {path} is not valid JSON: {e}") from None
+    except RecursionError:
+        raise InputError(f"config {path} is nested too deeply") from None
     if not isinstance(doc, dict):
         raise InputError(f"config {path} must be a JSON object")
     return doc
@@ -176,6 +187,14 @@ class AnalysisReport:
         }
 
 
+def _infinite_dims_error(datum: WeightDatum) -> InputError:
+    witness = find_invariant_monomial(datum)
+    return InputError(
+        "graded dimensions are infinite: degree-0 invariants are "
+        f"nontrivial, witness {witness}"
+    )
+
+
 def build_analysis_report(datum: WeightDatum, nmax: int | None = None) -> AnalysisReport:
     """Run both classifiers over all 64 patterns and cross-check everything
     the emitted report promises."""
@@ -207,11 +226,7 @@ def build_analysis_report(datum: WeightDatum, nmax: int | None = None) -> Analys
     hilbert = None
     if nmax is not None:
         if not trivial:
-            witness = find_invariant_monomial(datum)
-            raise InputError(
-                "graded dimensions are infinite: degree-0 invariants are "
-                f"nontrivial, witness {witness}"
-            )
+            raise _infinite_dims_error(datum)
         hilbert = hilbert_table(datum, nmax)
     return AnalysisReport(
         datum=datum,
@@ -258,14 +273,18 @@ def render_report_text(report: AnalysisReport, extra_lines: list[str] | None = N
     return "\n".join(lines) + "\n"
 
 
+def _write_file(path: str, text: str) -> None:
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as e:
+        raise IOError(f"cannot write {path}: {e}") from None
+
+
 def _emit(text: str, out_path: str | None) -> None:
     sys.stdout.write(text)
     if out_path is not None:
-        try:
-            with open(out_path, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        except OSError as e:
-            raise IOError(f"cannot write {out_path}: {e}") from None
+        _write_file(out_path, text)
 
 
 # ---------------------------------------------------------------- commands
@@ -276,10 +295,14 @@ def _check_nmax(nmax) -> None:
         raise InputError("nmax must be nonnegative")
 
 
+def _load_datum(args) -> tuple[dict, WeightDatum]:
+    doc = load_config(args.config)
+    return doc, datum_from_config(doc, enforce_constraint=not args.no_constraint)
+
+
 def cmd_analyze(args) -> int:
     _check_nmax(args.nmax)
-    doc = load_config(args.config)
-    datum = datum_from_config(doc, enforce_constraint=not args.no_constraint)
+    _, datum = _load_datum(args)
     report = build_analysis_report(datum, nmax=args.nmax)
     if args.json:
         _emit(canonical_json(report.as_dict()), args.out)
@@ -317,30 +340,20 @@ def cmd_verify(args) -> int:
 
 
 def cmd_fan_svg(args) -> int:
-    doc = load_config(args.config)
-    datum = datum_from_config(doc, enforce_constraint=not args.no_constraint)
+    _, datum = _load_datum(args)
     svg = fan_svg(datum, shade=args.shade)
     if args.out is None:
         sys.stdout.write(svg)
     else:
-        try:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(svg)
-        except OSError as e:
-            raise IOError(f"cannot write {args.out}: {e}") from None
+        _write_file(args.out, svg)
     return 0
 
 
 def cmd_hilbert(args) -> int:
     _check_nmax(args.nmax)
-    doc = load_config(args.config)
-    datum = datum_from_config(doc, enforce_constraint=not args.no_constraint)
+    _, datum = _load_datum(args)
     if not r0_is_trivial(datum):
-        witness = find_invariant_monomial(datum)
-        raise InputError(
-            "graded dimensions are infinite: degree-0 invariants are "
-            f"nontrivial, witness {witness}"
-        )
+        raise _infinite_dims_error(datum)
     dims = hilbert_table(datum, args.nmax)
     if args.json:
         sys.stdout.write(
@@ -383,8 +396,7 @@ def cmd_biquotient(args) -> int:
 
 
 def cmd_moment(args) -> int:
-    doc = load_config(args.config)
-    datum = datum_from_config(doc, enforce_constraint=not args.no_constraint)
+    doc, datum = _load_datum(args)
     z = complex3_from_config(doc, "z")
     w = complex3_from_config(doc, "w")
     value = moment_map(datum, z, w)

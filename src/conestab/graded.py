@@ -3,9 +3,10 @@
 The ring is C[z_1..z_3, w_1..w_3] modulo the relation sum(z_i w_i); under
 the lexicographic order with z_1 > w_1 > the rest, the relation has
 leading monomial z_1 w_1, so the monomials not divisible by z_1 w_1 form a
-vector-space basis of the quotient.  The dimension of the weight-(n c)
-piece is therefore a lattice-point count, which is finite exactly when the
-degree-0 invariants are trivial.
+vector-space basis of the quotient.  The dimension of the weight-t piece
+is therefore P(t) - P(t - a_1 - b_1), where P(t) is the vector partition
+function of the six weights: the number of exponent vectors of weight t.
+P is finite exactly when the degree-0 invariants are trivial.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
-from conestab.cones import ZERO, Vec2, as_vec2, cross, dot, strictly_separates
+from conestab.cones import ZERO, Vec2, cross, dot, strictly_separates
 from conestab.stability import WeightDatum, r0_is_trivial
 
 
@@ -60,28 +61,43 @@ class Monomial:
         return "*".join(parts) if parts else "1"
 
 
-def _solve_ray_multiple(w: Vec2, target: Vec2) -> int | None:
-    """Nonnegative integer e with e*w == target, for nonzero w."""
-    if w[0] != 0:
-        e, r = divmod(target[0], w[0])
-    else:
-        e, r = divmod(target[1], w[1])
-    if r != 0 or e < 0:
-        return None
-    if (e * w[0], e * w[1]) != target:
-        return None
-    return e
+def _exponent_count(ws: tuple[Vec2, ...], f: Vec2, target: Vec2) -> int:
+    """Number of exponent vectors e >= 0 with sum(e_i * ws[i]) == target.
+
+    f pairs strictly positively with every weight, so each partial sum x
+    of a solution satisfies f.x <= f.target.  The partial sums over all
+    weights but the last are tabulated as {point: count}, one weight at a
+    time; the last weight is then walked back from the target.
+    """
+    budget = dot(f, target)
+    if budget < 0:
+        return 0
+    counts = {ZERO: 1}
+    for w in ws[:-1]:
+        step = dot(f, w)
+        grown: dict[Vec2, int] = {}
+        for (x, y), n in counts.items():
+            for k in range((budget - dot(f, (x, y))) // step + 1):
+                p = (x + k * w[0], y + k * w[1])
+                grown[p] = grown.get(p, 0) + n
+        counts = grown
+    last = ws[-1]
+    return sum(
+        counts.get((target[0] - k * last[0], target[1] - k * last[1]), 0)
+        for k in range(budget // dot(f, last) + 1)
+    )
 
 
 def graded_dim(datum: WeightDatum, degree: int) -> int:
     """Dimension of the weight-(degree * c) piece of the quotient ring.
 
-    Counts exponent vectors (k, l) with sum(k_i a_i) + sum(l_j b_j) equal
-    to degree * c, skipping multiples of z_1 w_1.  A strictly positive
-    functional on the weights (which exists precisely when the degree-0
-    invariants are trivial) bounds every exponent, so the count is a finite
-    exact enumeration.  Degrees whose target weight is unreachable simply
-    count zero.
+    The standard monomials of weight t are all monomials of weight t minus
+    the multiples of z_1 w_1, which are z_1 w_1 times any monomial of weight
+    t - a_1 - b_1.  So the dimension is P(t) - P(t - a_1 - b_1), where P
+    is the vector partition function of the six weights (Sturmfels, "On
+    vector partition functions", JCTA 72, 1995).  P is finite because a
+    strictly positive functional on the weights exists precisely when the
+    degree-0 invariants are trivial.  Unreachable degrees count zero.
     """
     if degree < 0:
         raise ValueError("degree must be nonnegative")
@@ -91,44 +107,13 @@ def graded_dim(datum: WeightDatum, degree: int) -> int:
             "trivial (all weights nonzero and spanning a cone with apex); "
             "this datum admits a nonconstant invariant monomial"
         )
-    f = strictly_separates(datum.weights())
+    ws = datum.weights()
+    f = strictly_separates(ws)
     assert f is not None
-    # weights ordered so that the z_1 and w_1 exponents are chosen first,
-    # letting the z_1 w_1 exclusion prune whole subtrees immediately
-    order = (
-        datum.a[0],
-        datum.b[0],
-        datum.a[1],
-        datum.a[2],
-        datum.b[1],
-    )
-    fvals = [dot(f, w) for w in order]
-    last = datum.b[2]
-    budget = degree * dot(f, datum.c)
-    if budget < 0:
-        return 0
-    target = (degree * datum.c[0], degree * datum.c[1])
-
-    def count(idx: int, budget: int, rx: int, ry: int, z1_used: bool) -> int:
-        if idx == 5:
-            e = _solve_ray_multiple(last, (rx, ry))
-            return 0 if e is None else 1
-        w = order[idx]
-        fv = fvals[idx]
-        total = 0
-        for e in range(budget // fv + 1):
-            if idx == 1 and z1_used and e >= 1:
-                break
-            total += count(
-                idx + 1,
-                budget - e * fv,
-                rx - e * w[0],
-                ry - e * w[1],
-                z1_used or (idx == 0 and e >= 1),
-            )
-        return total
-
-    return count(0, budget, target[0], target[1], False)
+    t = (degree * datum.c[0], degree * datum.c[1])
+    a1, b1 = datum.a[0], datum.b[0]
+    rest = (t[0] - a1[0] - b1[0], t[1] - a1[1] - b1[1])
+    return _exponent_count(ws, f, t) - _exponent_count(ws, f, rest)
 
 
 def hilbert_table(datum: WeightDatum, n_max: int) -> list[int]:

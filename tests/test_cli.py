@@ -1,11 +1,15 @@
 """End-to-end tests for the command-line interface."""
 
 import json
+import os
 import shutil
 import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import conestab
 from conestab.cli import SUITE_NAMES, canonical_json, main
 from conestab.stability import WeightDatum, flag_datum
 from conestab.svg import fan_svg
@@ -347,6 +351,39 @@ class TestMomentCommand:
         code, _, err = run_cli(capsys, "moment", flag_config)
         assert code == 2
         assert "'z'" in err
+
+
+FLAG_MOMENT_TEXT = (
+    '{"A": [[1, 0], [1, 0], [1, 0]], "B": [[0, 1], [0, 1], [0, 1]], "C": [1, 1], '
+    '"z": [[%s, 0], [0, 0], [0, 0]], "w": [[0, 0], [1, 0], [0, 0]]}'
+)
+
+
+class TestConfigErrors:
+    @pytest.mark.parametrize(
+        "argv, content",
+        [
+            (["analyze"], b'{"A": "\xff\xfe"}'),
+            (["analyze"], b"[" * 100_000 + b"]" * 100_000),
+            (["moment", "--json"], (FLAG_MOMENT_TEXT % "NaN").encode()),
+            (["moment", "--json"], (FLAG_MOMENT_TEXT % "1e999").encode()),
+        ],
+        ids=["non-utf8", "deeply-nested", "nan", "overflowing-float"],
+    )
+    def test_bad_config_exits_2_without_traceback(self, tmp_path, argv, content):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_bytes(content)
+        env = dict(os.environ, PYTHONPATH=str(Path(conestab.__file__).parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "conestab.cli", argv[0], str(cfg), *argv[1:]],
+            capture_output=True,
+            text=True,
+            env=env,
+        )
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error: ")
+        assert "Traceback" not in proc.stderr
+        assert proc.stdout == ""
 
 
 class TestTopLevel:

@@ -105,14 +105,15 @@ class TestGradedDim:
 
     def test_against_brute_force_on_random_data(self):
         rng = random.Random(606)
-        checked = 0
-        while checked < 10:
-            d = random_test_datum(rng, bound=2)
-            if not r0_is_trivial(d):
-                continue
-            checked += 1
-            for n in range(3):
-                assert graded_dim(d, n) == brute_force_dim(d, n), (d, n)
+        for constrained in (True, False):
+            checked = 0
+            while checked < 10:
+                d = random_test_datum(rng, bound=2, constrained=constrained)
+                if not r0_is_trivial(d):
+                    continue
+                checked += 1
+                for n in range(3):
+                    assert graded_dim(d, n) == brute_force_dim(d, n), (d, n)
 
     def test_product_superadditivity(self):
         rng = random.Random(1914)
@@ -133,6 +134,7 @@ class TestHilbertTable:
     def test_flag_table(self):
         assert hilbert_table(flag_datum(), 3) == [1, 8, 27, 64]
         assert hilbert_table(flag_datum(), 0) == [1]
+        assert hilbert_table(flag_datum(), 30) == [(n + 1) ** 3 for n in range(31)]
 
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
