@@ -132,9 +132,12 @@ def complex3_from_config(doc: dict, key: str) -> tuple[complex, complex, complex
         if not isinstance(entry, (list, tuple)) or len(entry) != 2:
             raise InputError(f"{key}[{i}]: expected an [re, im] pair")
         try:
-            out.append(complex(float(entry[0]), float(entry[1])))
-        except (TypeError, ValueError):
-            raise InputError(f"{key}[{i}]: entries must be numbers") from None
+            re, im = float(entry[0]), float(entry[1])
+        except (TypeError, ValueError, OverflowError):
+            raise InputError(f"{key}[{i}]: entries must be finite numbers") from None
+        if not (math.isfinite(re) and math.isfinite(im)):
+            raise InputError(f"{key}[{i}]: entries must be finite numbers")
+        out.append(complex(re, im))
     return tuple(out)
 
 
@@ -399,7 +402,12 @@ def cmd_moment(args) -> int:
     doc, datum = _load_datum(args)
     z = complex3_from_config(doc, "z")
     w = complex3_from_config(doc, "w")
-    value = moment_map(datum, z, w)
+    try:
+        value = moment_map(datum, z, w)
+    except OverflowError:
+        raise InputError("weights are beyond double range; the moment map cannot be evaluated") from None
+    if not all(math.isfinite(x) for x in (*value.phi, value.residual)):
+        raise InputError("the moment map overflows double precision at this point")
     if args.json:
         sys.stdout.write(
             canonical_json(

@@ -18,18 +18,20 @@ agreement a meaningful consistency check rather than a tautology.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
+from functools import lru_cache
 
 from conestab.cones import (
     Cone2,
     Vec2,
     ZERO,
     as_vec2,
+    cross,
     dot,
     neg,
+    on_ray,
     perp,
-    strictly_separates,
 )
 
 _INDICES = (1, 2, 3)
@@ -54,6 +56,8 @@ class SupportPattern:
 
     z_support: frozenset[int]
     w_support: frozenset[int]
+    # bit k is set iff weight k of WeightDatum.weights() is supported
+    _mask: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         z = frozenset(self.z_support)
@@ -63,6 +67,8 @@ class SupportPattern:
                 raise ValueError(f"support indices must lie in {{1, 2, 3}}, got {sorted(s)}")
         object.__setattr__(self, "z_support", z)
         object.__setattr__(self, "w_support", w)
+        mask = sum(1 << (i - 1) for i in z) | sum(1 << (j + 2) for j in w)
+        object.__setattr__(self, "_mask", mask)
 
     def is_realizable(self) -> bool:
         """Some point of the quadric sum(z_i w_i) = 0 has exactly this support.
@@ -174,87 +180,139 @@ def hm_weight(datum: WeightDatum, pattern: SupportPattern, alpha) -> int:
     return -min(entries)
 
 
-def _destabilizing_direction(ws: list[Vec2], c: Vec2) -> Vec2 | None:
-    """A direction along which the point flows into the zero character level.
+# Each classifier memoises a small table of datum-level facts, so that
+# classifying one pattern is a handful of tests of its 6-bit support mask
+# against that table.  A cache of a few data serves every caller that
+# classifies the patterns of one datum in a row.
+_TABLE_CACHE_SIZE = 16
 
-    Looks for alpha with <v, alpha> >= 0 for every supported weight v (the
-    limit of the point exists) and <c, alpha> < 0 (the character coordinate
-    dies).  Such a direction exists iff one exists among -c and the
-    rotations of the supported weights: a linear functional is negative
-    somewhere on a planar cone iff it is negative on a boundary ray, or the
-    cone is the whole plane and -c itself qualifies.
+
+@lru_cache(maxsize=_TABLE_CACHE_SIZE)
+def _one_ps_table(datum: WeightDatum) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Candidate one-parameter subgroups of the datum, as dual masks.
+
+    The candidates are -c and the +-90 degree rotations of every nonzero
+    weight and of c.  Returns the masks of weights pairing nonnegatively
+    with a candidate alpha, split into those with <c, alpha> < 0
+    (destabilizing once the supported weights lie in the mask) and those
+    with <c, alpha> == 0 (a vanishing Hilbert-Mumford weight).  Candidates
+    with <c, alpha> > 0 witness neither: the entry -<c, alpha> of the
+    weight is then negative, whatever the supported weights pair to.
     """
+    ws = datum.weights()
+    c = datum.c
     candidates = [neg(c)]
-    for v in ws:
+    for v in ws + (c,):
         if v != ZERO:
             q = perp(v)
-            candidates.append(q)
-            candidates.append(neg(q))
+            candidates += (q, neg(q))
+    destabilizing, null = set(), set()
     for alpha in candidates:
-        if dot(c, alpha) < 0 and all(dot(v, alpha) >= 0 for v in ws):
-            return alpha
-    return None
-
-
-def _null_directions(ws: list[Vec2], c: Vec2):
-    """Candidate nonzero directions where the Hilbert-Mumford weight can vanish.
-
-    A vanishing weight needs every pairing to be nonnegative with at least
-    one zero, and any nonzero direction cone cut out by finitely many
-    half-planes contains a ray perpendicular to one of its defining
-    vectors; it is therefore enough to scan the rotations of the nonzero
-    supported weights and of the character weight.
-    """
-    out = []
-    for v in ws + [c]:
-        if v != ZERO:
-            q = perp(v)
-            out.append(q)
-            out.append(neg(q))
-    return out
+        pairing = dot(c, alpha)
+        if pairing <= 0:
+            mask = sum(1 << k for k, v in enumerate(ws) if dot(v, alpha) >= 0)
+            (destabilizing if pairing < 0 else null).add(mask)
+    return tuple(destabilizing), tuple(null)
 
 
 def classify_by_one_ps(datum: WeightDatum, pattern: SupportPattern) -> StabilityClass:
     """Classify a support pattern by scanning one-parameter subgroups.
 
-    Unstable when some subgroup drags the lifted point into the zero level
-    of the character line; stable when the Hilbert-Mumford weight is
-    strictly positive along every nontrivial subgroup; strictly semistable
-    in between.  Both existence questions reduce to finitely many candidate
-    directions, a reduction the randomized harness double-checks against a
-    dense sweep.
+    Unstable when some subgroup alpha drags the lifted point into the zero
+    level of the character line: <v, alpha> >= 0 for every supported
+    weight v and <c, alpha> < 0.  Such a direction exists iff one exists
+    among -c and the rotations of the supported weights, because a linear
+    functional is negative somewhere on a planar cone iff it is negative
+    on a boundary ray, or the cone is the whole plane and -c qualifies.
+    Strictly semistable when otherwise some nonzero subgroup has vanishing
+    Hilbert-Mumford weight; any nonzero cone cut out by finitely many
+    half-planes contains a ray perpendicular to one of its defining
+    vectors, so the rotations of the supported weights and of c suffice.
+    Stable otherwise.
+
+    The candidates are taken once per datum, from all six weights rather
+    than the supported ones (``_one_ps_table``).  That cannot create a
+    false verdict: every candidate is a genuine direction, checked against
+    exactly the supported weights, and the candidates of the pattern are a
+    subset of those of the datum.  The randomized harness double-checks
+    the reduction against a dense sweep.
     """
-    ws = datum.supported_weights(pattern)
-    if _destabilizing_direction(ws, datum.c) is not None:
-        return StabilityClass.UNSTABLE
-    for alpha in _null_directions(ws, datum.c):
-        if hm_weight(datum, pattern, alpha) == 0:
+    destabilizing, null = _one_ps_table(datum)
+    m = pattern._mask
+    for mask in destabilizing:
+        if m & mask == m:
+            return StabilityClass.UNSTABLE
+    for mask in null:
+        if m & mask == m:
             return StabilityClass.STRICTLY_SEMISTABLE
     return StabilityClass.STABLE
+
+
+@lru_cache(maxsize=_TABLE_CACHE_SIZE)
+def _cone_table(datum: WeightDatum) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
+    """Datum-level cone facts, as masks of weights.
+
+    Returns the single weights and weight pairs whose cone contains c, the
+    pairs that span the plane, and the dual masks (weights pairing
+    nonnegatively) of the +-90 degree rotations alpha of every nonzero
+    weight and of c with <c, alpha> <= 0.
+    """
+    ws = datum.weights()
+    c = datum.c
+    n = len(ws)
+    containing = [1 << i for i in range(n) if on_ray(ws[i], c)]
+    spanning = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            pair = 1 << i | 1 << j
+            if Cone2((ws[i], ws[j])).contains(c):
+                containing.append(pair)
+            if cross(ws[i], ws[j]) != 0:
+                spanning.append(pair)
+    dual = set()
+    for v in ws + (c,):
+        if v != ZERO:
+            q = perp(v)
+            for alpha in (q, neg(q)):
+                if dot(c, alpha) <= 0:
+                    dual.add(sum(1 << k for k, u in enumerate(ws) if dot(u, alpha) >= 0))
+    return tuple(containing), tuple(spanning), tuple(dual)
 
 
 def classify_by_cone(datum: WeightDatum, pattern: SupportPattern) -> StabilityClass:
     """Classify a support pattern by cone membership of the character weight.
 
-    Semistable iff c lies in the cone spanned by the supported weights.
-    Stable additionally needs that cone to span the plane and no nonzero
-    direction to pair nonnegatively with all supported weights while
-    pairing nonpositively with c (which would make the Hilbert-Mumford
-    weight vanish there).  Implemented purely with cone primitives;
+    Semistable iff c lies in the cone spanned by the supported weights,
+    which by Caratheodory means in the cone of one or two of them.  Stable
+    additionally needs that cone to span the plane, which some supported
+    pair then does, and no nonzero direction to pair nonnegatively with all
+    supported weights while pairing nonpositively with c (which would make
+    the Hilbert-Mumford weight vanish there); such a direction exists iff
+    one exists among the rotations of the supported weights and of c.
+
+    The cones and the directions are examined once per datum, over all six
+    weights (``_cone_table``).  That cannot create a false verdict: every
+    listed cone and direction is genuine, a pattern uses only the cones of
+    its supported weights and checks each direction against exactly its
+    supported weights, and the directions of the pattern are a subset of
+    those of the datum.  Implemented purely with cone primitives;
     ``classify_by_one_ps`` re-derives the same verdicts independently.
     """
-    sigma = datum.support_cone(pattern)
-    if not sigma.contains(datum.c):
+    containing, spanning, dual = _cone_table(datum)
+    m = pattern._mask
+    for mask in containing:
+        if mask & m == mask:
+            break
+    else:
         return StabilityClass.UNSTABLE
-    if sigma.linear_hull_dim() < 2:
+    for mask in spanning:
+        if mask & m == mask:
+            break
+    else:
         return StabilityClass.STRICTLY_SEMISTABLE
-    ws = [v for v in sigma.generators if v != ZERO]
-    c = datum.c
-    for v in ws + [c]:
-        q = perp(v)
-        for alpha in (q, neg(q)):
-            if dot(c, alpha) <= 0 and all(dot(u, alpha) >= 0 for u in ws):
-                return StabilityClass.STRICTLY_SEMISTABLE
+    for mask in dual:
+        if m & mask == m:
+            return StabilityClass.STRICTLY_SEMISTABLE
     return StabilityClass.STABLE
 
 

@@ -358,6 +358,19 @@ FLAG_MOMENT_TEXT = (
     '"z": [[%s, 0], [0, 0], [0, 0]], "w": [[0, 0], [1, 0], [0, 0]]}'
 )
 
+BEYOND_DOUBLE = "1" + "0" * 400
+
+
+def moment_config_bytes(z0, a="1", w0=0):
+    doc = {
+        "A": [[a, 0], [a, 0], [a, 0]],
+        "B": [[0, 1], [0, 1], [0, 1]],
+        "C": [1, 1],
+        "z": [[z0, 0], [0, 0], [0, 0]],
+        "w": [[w0, 0], [1, 0], [0, 0]],
+    }
+    return json.dumps(doc).encode()
+
 
 class TestConfigErrors:
     @pytest.mark.parametrize(
@@ -367,8 +380,27 @@ class TestConfigErrors:
             (["analyze"], b"[" * 100_000 + b"]" * 100_000),
             (["moment", "--json"], (FLAG_MOMENT_TEXT % "NaN").encode()),
             (["moment", "--json"], (FLAG_MOMENT_TEXT % "1e999").encode()),
+            (["moment", "--json"], moment_config_bytes("nan")),
+            (["moment", "--json"], moment_config_bytes("1e999")),
+            (["moment", "--json"], moment_config_bytes(int(BEYOND_DOUBLE))),
+            (["moment", "--json"], moment_config_bytes(1, a=BEYOND_DOUBLE)),
+            (["moment", "--json"], moment_config_bytes(1e200)),
+            (["moment"], moment_config_bytes(1e200)),
+            (["moment", "--json"], moment_config_bytes(1e300, w0=1e300)),
         ],
-        ids=["non-utf8", "deeply-nested", "nan", "overflowing-float"],
+        ids=[
+            "non-utf8",
+            "deeply-nested",
+            "nan",
+            "overflowing-float",
+            "moment-nan-string",
+            "moment-overflowing-string",
+            "moment-integer-beyond-double",
+            "moment-weight-beyond-double",
+            "moment-infinite-phi",
+            "moment-infinite-phi-text",
+            "moment-infinite-residual",
+        ],
     )
     def test_bad_config_exits_2_without_traceback(self, tmp_path, argv, content):
         cfg = tmp_path / "cfg.json"
@@ -389,6 +421,17 @@ class TestConfigErrors:
 class TestTopLevel:
     def test_help_exits_zero(self, capsys):
         assert run_cli(capsys, "--help")[0] == 0
+
+    def test_python_dash_m_conestab(self):
+        env = dict(os.environ, PYTHONPATH=str(Path(conestab.__file__).parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "conestab", "--help"],
+            capture_output=True,
+            text=True,
+            env=env,
+        )
+        assert proc.returncode == 0
+        assert proc.stdout.startswith("usage: conestab")
 
     def test_no_command_exits_2(self, capsys):
         assert run_cli(capsys)[0] == 2

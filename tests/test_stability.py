@@ -14,6 +14,9 @@ from conestab.stability import (
     StabilityClass,
     SupportPattern,
     WeightDatum,
+    _TABLE_CACHE_SIZE,
+    _cone_table,
+    _one_ps_table,
     all_support_patterns,
     classify_by_cone,
     classify_by_one_ps,
@@ -245,6 +248,80 @@ class TestClassifiers:
                     s = SupportPattern(frozenset({i}), frozenset({j}))
                     interior = Cone2((d.a[i - 1], d.b[j - 1])).interior_contains(d.c)
                     assert interior == (classify_by_one_ps(d, s) is S.STABLE)
+
+
+def small_hostile_data(rng):
+    """Bound <= 3 data with zero, collinear and opposite weights, and pairs
+    of data that are equal except for c or for the constraint flag."""
+    out = []
+    for bound in (1, 2, 3):
+        for _ in range(5):
+            d = random_test_datum(rng, bound=bound)
+            a1 = d.a[0]
+            other_c = d.c
+            while other_c == d.c:
+                other_c = (rng.randint(-bound, bound), rng.randint(-bound, bound))
+                if other_c == (0, 0):
+                    other_c = d.c
+            out += [
+                d,
+                WeightDatum(a=d.a, b=d.b, c=d.c, constrained=False),
+                WeightDatum(a=d.a, b=d.b, c=other_c),
+                WeightDatum(a=((0, 0),) + d.a[1:], b=d.b, c=d.c, constrained=False),
+                WeightDatum(a=d.a, b=((-a1[0], -a1[1]),) + d.b[1:], c=d.c, constrained=False),
+                WeightDatum(a=(a1, a1, d.a[2]), b=d.b, c=d.c, constrained=False),
+            ]
+    return out
+
+
+class TestDirectionTables:
+    """Both classifiers memoise per-datum tables; verdicts must not depend
+    on what the caches hold."""
+
+    def test_verdicts_do_not_depend_on_cache_state(self):
+        rng = random.Random(2718)
+        data = small_hostile_data(rng)
+        assert len(set(data)) > 2 * _TABLE_CACHE_SIZE
+        # each datum's patterns are spread over a window of other data, so
+        # lookups mix cache hits with evictions
+        order = sorted(
+            ((i, k) for i in range(len(data)) for k in range(64)),
+            key=lambda ik: (ik[0] + rng.randint(0, 24), rng.random()),
+        )
+        fresh_patterns = [
+            SupportPattern(frozenset(set(p.z_support)), frozenset(set(p.w_support)))
+            for p in ALL_PATTERNS
+        ]
+        _one_ps_table.cache_clear()
+        _cone_table.cache_clear()
+        seen = {}
+        for i, k in order:
+            d, p = data[i], fresh_patterns[k]
+            seen[i, k] = (classify_by_one_ps(d, p), classify_by_cone(d, p))
+        for table in (_one_ps_table, _cone_table):
+            info = table.cache_info()
+            assert info.hits > 0 and info.misses > len(data), info
+
+        for i, d in enumerate(data):
+            # Hilbert-Mumford weights over a direction box that is complete
+            # for the datum's coordinate bound
+            box = 2 * max(abs(x) for v in d.weights() + (d.c,) for x in v) + 1
+            rows = [
+                ([dot(v, alpha) for v in d.weights()], -dot(d.c, alpha))
+                for alpha in primitive_directions(box)
+            ]
+            _one_ps_table.cache_clear()
+            _cone_table.cache_clear()
+            for k, p in enumerate(ALL_PATTERNS):
+                hm, cone = seen[i, k]
+                assert hm is cone, (d, p)
+                assert (classify_by_one_ps(d, p), classify_by_cone(d, p)) == (hm, cone), (d, p)
+                sel = [z - 1 for z in p.z_support] + [w + 2 for w in p.w_support]
+                values = [-min([row[j] for j in sel] + [minus_c]) for row, minus_c in rows]
+                if any(v < 0 for v in values):
+                    assert hm is S.UNSTABLE, (d, p)
+                if any(v == 0 for v in values):
+                    assert hm is not S.STABLE, (d, p)
 
 
 class TestFanCondition:
