@@ -31,7 +31,6 @@ from conestab.stability import (
     StabilityClass,
     SupportPattern,
     WeightDatum,
-    all_support_patterns,
     classify_by_cone,
     classify_by_one_ps,
     fan_condition,
@@ -71,7 +70,6 @@ __all__ = [
     "VerifyReport",
     "WeightDatum",
     "__version__",
-    "all_support_patterns",
     "as_vec2",
     "classify_by_cone",
     "classify_by_one_ps",

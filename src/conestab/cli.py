@@ -99,7 +99,7 @@ def load_config(path: str) -> dict:
         raise InputError(f"cannot read config {path}: {e}") from None
     except UnicodeDecodeError as e:
         raise InputError(f"config {path} is not valid UTF-8: {e}") from None
-    except json.JSONDecodeError as e:
+    except ValueError as e:  # JSONDecodeError, or an integer literal over 4,300 digits
         raise InputError(f"config {path} is not valid JSON: {e}") from None
     except RecursionError:
         raise InputError(f"config {path} is nested too deeply") from None
@@ -284,18 +284,16 @@ def _write_file(path: str, text: str) -> None:
         raise IOError(f"cannot write {path}: {e}") from None
 
 
-def _emit(text: str, out_path: str | None) -> None:
-    sys.stdout.write(text)
-    if out_path is not None:
-        _write_file(out_path, text)
+def _emit(args, payload, text: str) -> None:
+    """Write canonical_json(payload) under --json, else text, to stdout and
+    also to --out when the command has that flag."""
+    out = canonical_json(payload) if args.json else text
+    sys.stdout.write(out)
+    if getattr(args, "out", None) is not None:
+        _write_file(args.out, out)
 
 
 # ---------------------------------------------------------------- commands
-
-
-def _check_nmax(nmax) -> None:
-    if nmax is not None and nmax < 0:
-        raise InputError("nmax must be nonnegative")
 
 
 def _load_datum(args) -> tuple[dict, WeightDatum]:
@@ -304,13 +302,9 @@ def _load_datum(args) -> tuple[dict, WeightDatum]:
 
 
 def cmd_analyze(args) -> int:
-    _check_nmax(args.nmax)
     _, datum = _load_datum(args)
     report = build_analysis_report(datum, nmax=args.nmax)
-    if args.json:
-        _emit(canonical_json(report.as_dict()), args.out)
-    else:
-        _emit(render_report_text(report), args.out)
+    _emit(args, report.as_dict(), render_report_text(report))
     return 0
 
 
@@ -322,29 +316,31 @@ def cmd_verify(args) -> int:
         enforce_constraint=not args.no_constraint,
     )
     report = VERIFY_SUITES[args.suite](cfg)
-    if args.json:
-        sys.stdout.write(canonical_json(report.as_dict()))
+    lines = [
+        f"suite: {report.suite}",
+        f"seed: {cfg.seed}  trials: {cfg.trials}  bound: {cfg.coord_bound}  "
+        f"constraint: {'on' if cfg.enforce_constraint else 'off'}",
+        f"checked: {report.checked}  disagreements: {report.disagreements}",
+    ]
+    for key, value in sorted(report.details.items()):
+        lines.append(f"{key}: {value}")
+    if report.passed:
+        lines.append("PASS")
     else:
-        lines = [
-            f"suite: {report.suite}",
-            f"seed: {cfg.seed}  trials: {cfg.trials}  bound: {cfg.coord_bound}  "
-            f"constraint: {'on' if cfg.enforce_constraint else 'off'}",
-            f"checked: {report.checked}  disagreements: {report.disagreements}",
-        ]
-        for key, value in sorted(report.details.items()):
-            lines.append(f"{key}: {value}")
-        if report.passed:
-            lines.append("PASS")
-        else:
-            lines.append(f"first failure: {report.first_failure}")
-            lines.append("FAIL")
-        sys.stdout.write("\n".join(lines) + "\n")
+        lines.append(f"first failure: {report.first_failure}")
+        lines.append("FAIL")
+    _emit(args, report.as_dict(), "\n".join(lines) + "\n")
     return 0 if report.passed else 1
 
 
 def cmd_fan_svg(args) -> int:
     _, datum = _load_datum(args)
-    svg = fan_svg(datum, shade=args.shade)
+    try:
+        svg = fan_svg(datum, shade=args.shade)
+    except OverflowError:
+        raise InputError(
+            "a weight direction is beyond double range; the fan cannot be drawn"
+        ) from None
     if args.out is None:
         sys.stdout.write(svg)
     else:
@@ -353,23 +349,16 @@ def cmd_fan_svg(args) -> int:
 
 
 def cmd_hilbert(args) -> int:
-    _check_nmax(args.nmax)
     _, datum = _load_datum(args)
     if not r0_is_trivial(datum):
         raise _infinite_dims_error(datum)
     dims = hilbert_table(datum, args.nmax)
-    if args.json:
-        sys.stdout.write(
-            canonical_json({"nmax": args.nmax, "dims": dims})
-        )
-    else:
-        lines = ["   n  dim"] + [f"{n:4d}  {dim}" for n, dim in enumerate(dims)]
-        sys.stdout.write("\n".join(lines) + "\n")
+    lines = ["   n  dim"] + [f"{n:4d}  {dim}" for n, dim in enumerate(dims)]
+    _emit(args, {"nmax": args.nmax, "dims": dims}, "\n".join(lines) + "\n")
     return 0
 
 
 def cmd_biquotient(args) -> int:
-    _check_nmax(args.nmax)
     doc = load_config(args.config)
     for key in ("wL", "wR"):
         if key not in doc:
@@ -381,20 +370,17 @@ def cmd_biquotient(args) -> int:
     except ValueError as e:
         raise InputError(str(e)) from None
     report = build_analysis_report(datum, nmax=args.nmax)
-    if args.json:
-        payload = report.as_dict()
-        payload["biquotient"] = {
-            "wL": [list(v) for v in w_left],
-            "wR": [list(v) for v in w_right],
-            "star_hypothesis": report.star,
-        }
-        _emit(canonical_json(payload), args.out)
-    else:
-        extra = [
-            f"derived from biquotient weights wL={list(w_left)} wR={list(w_right)}",
-            f"fan condition for the derived weights: {_yesno(report.star)}",
-        ]
-        _emit(render_report_text(report, extra_lines=extra), args.out)
+    payload = report.as_dict()
+    payload["biquotient"] = {
+        "wL": [list(v) for v in w_left],
+        "wR": [list(v) for v in w_right],
+        "star_hypothesis": report.star,
+    }
+    extra = [
+        f"derived from biquotient weights wL={list(w_left)} wR={list(w_right)}",
+        f"fan condition for the derived weights: {_yesno(report.star)}",
+    ]
+    _emit(args, payload, render_report_text(report, extra_lines=extra))
     return 0
 
 
@@ -408,34 +394,64 @@ def cmd_moment(args) -> int:
         raise InputError("weights are beyond double range; the moment map cannot be evaluated") from None
     if not all(math.isfinite(x) for x in (*value.phi, value.residual)):
         raise InputError("the moment map overflows double precision at this point")
-    if args.json:
-        sys.stdout.write(
-            canonical_json(
-                {"phi": [value.phi[0], value.phi[1]], "residual": value.residual}
-            )
-        )
-    else:
-        sys.stdout.write(
-            f"phi = ({value.phi[0]!r}, {value.phi[1]!r})\n"
-            f"residual = {value.residual!r}\n"
-        )
+    _emit(
+        args,
+        {"phi": [value.phi[0], value.phi[1]], "residual": value.residual},
+        f"phi = ({value.phi[0]!r}, {value.phi[1]!r})\nresidual = {value.residual!r}\n",
+    )
     return 0
 
 
 # ---------------------------------------------------------------- parser
 
 
-def _add_config_arg(p) -> None:
-    p.add_argument("config", help="path to a JSON config")
+def _at_least(least: int):
+    """argparse type: an integer no smaller than least."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < least:
+            raise argparse.ArgumentTypeError(f"must be at least {least}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse names the type in "invalid int value" errors
+    return parse
 
 
-def _add_common_flags(p) -> None:
-    p.add_argument("--json", action="store_true", help="machine-readable output")
-    p.add_argument(
-        "--no-constraint",
-        action="store_true",
-        help="do not require A_i + B_i to be constant",
-    )
+def _arg(*flags, **kwargs):
+    return flags, kwargs
+
+
+_CONFIG = _arg("config", help="path to a JSON config")
+_JSON = _arg("--json", action="store_true", help="machine-readable output")
+_NO_CONSTRAINT = _arg(
+    "--no-constraint", action="store_true", help="do not require A_i + B_i to be constant"
+)
+_NMAX = _arg("--nmax", type=_at_least(0), help="also tabulate graded dimensions")
+_OUT = _arg("--out", help="also write the report to this file")
+
+# name: (handler, help, the arguments that handler reads, in --help order)
+COMMANDS = {
+    "analyze": (cmd_analyze, "full stability report for a weight datum",
+                (_CONFIG, _JSON, _NO_CONSTRAINT, _NMAX, _OUT)),
+    "verify": (cmd_verify, "run a consistency suite", (
+        _arg("suite", choices=SUITE_NAMES),
+        _arg("--seed", type=int, default=0),
+        _arg("--trials", type=_at_least(1), default=1000),
+        _arg("--bound", type=_at_least(1), default=20, help="coordinate box bound"),
+        _JSON, _NO_CONSTRAINT)),
+    "fan-svg": (cmd_fan_svg, "render the weight fan as SVG", (
+        _CONFIG, _NO_CONSTRAINT,
+        _arg("--shade", action="store_true", help="shade the mixed-pair sectors"),
+        _arg("--out", help="output SVG path (default stdout)"))),
+    "hilbert": (cmd_hilbert, "graded dimension table", (
+        _CONFIG, _JSON, _NO_CONSTRAINT,
+        _arg("--nmax", type=_at_least(0), default=6, help="largest degree to tabulate"))),
+    "biquotient": (cmd_biquotient, "derive weights from a biquotient action",
+                   (_CONFIG, _JSON, _NMAX, _OUT)),
+    "moment": (cmd_moment, "evaluate the moment map at a config point",
+               (_CONFIG, _JSON, _NO_CONSTRAINT)),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -444,47 +460,11 @@ def build_parser() -> argparse.ArgumentParser:
         description="Stability analysis for two-torus actions on the rank-one quadric",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("analyze", help="full stability report for a weight datum")
-    _add_config_arg(p)
-    _add_common_flags(p)
-    p.add_argument("--nmax", type=int, default=None, help="also tabulate graded dimensions")
-    p.add_argument("--out", default=None, help="also write the report to this file")
-    p.set_defaults(func=cmd_analyze)
-
-    p = sub.add_parser("verify", help="run a consistency suite")
-    p.add_argument("suite", choices=SUITE_NAMES)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--trials", type=int, default=1000)
-    p.add_argument("--bound", type=int, default=20, help="coordinate box bound")
-    _add_common_flags(p)
-    p.set_defaults(func=cmd_verify)
-
-    p = sub.add_parser("fan-svg", help="render the weight fan as SVG")
-    _add_config_arg(p)
-    _add_common_flags(p)
-    p.add_argument("--shade", action="store_true", help="shade the mixed-pair sectors")
-    p.add_argument("--out", default=None, help="output SVG path (default stdout)")
-    p.set_defaults(func=cmd_fan_svg)
-
-    p = sub.add_parser("hilbert", help="graded dimension table")
-    _add_config_arg(p)
-    _add_common_flags(p)
-    p.add_argument("--nmax", type=int, default=6, help="largest degree to tabulate")
-    p.set_defaults(func=cmd_hilbert)
-
-    p = sub.add_parser("biquotient", help="derive weights from a biquotient action")
-    _add_config_arg(p)
-    _add_common_flags(p)
-    p.add_argument("--nmax", type=int, default=None, help="also tabulate graded dimensions")
-    p.add_argument("--out", default=None, help="also write the report to this file")
-    p.set_defaults(func=cmd_biquotient)
-
-    p = sub.add_parser("moment", help="evaluate the moment map at a config point")
-    _add_config_arg(p)
-    _add_common_flags(p)
-    p.set_defaults(func=cmd_moment)
-
+    for name, (func, help_text, arguments) in COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        for flags, kwargs in arguments:
+            p.add_argument(*flags, **kwargs)
+        p.set_defaults(func=func)
     return parser
 
 

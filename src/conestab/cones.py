@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from operator import index as _as_int
-from typing import Iterable, Iterator
+from typing import Iterable
 
 Vec2 = tuple[int, int]
 
@@ -235,30 +235,6 @@ class Cone2:
         if all(cross(d, g) == 0 for g in nz[1:]):
             return 1
         return 2
-
-    def caratheodory_pair(self, p) -> tuple[int, int] | None:
-        """Indices (i, j), i <= j, of two generators whose cone contains p.
-
-        The lexicographically smallest such pair is returned.  p = 0 in a
-        generator-free cone yields None (there is nothing to index); a point
-        outside the cone is a usage error and raises ValueError.
-        """
-        p = as_vec2(p)
-        gens = self.generators
-        if not gens:
-            if p == ZERO:
-                return None
-            raise ValueError(f"point {p} is not in the cone")
-        m = len(gens)
-        for i in range(m):
-            a = gens[i]
-            for j in range(i, m):
-                if _in_pair_cone(a, gens[j], p):
-                    return (i, j)
-        raise ValueError(f"point {p} is not in the cone")
-
-    def __iter__(self) -> Iterator[Vec2]:
-        return iter(self.generators)
 
     def __repr__(self) -> str:
         inner = ", ".join(repr(g) for g in self.generators)

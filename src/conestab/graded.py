@@ -46,10 +46,6 @@ class Monomial:
     def is_constant(self) -> bool:
         return self.total_degree() == 0
 
-    def is_standard(self) -> bool:
-        """Basis membership in the quotient: not divisible by z_1 w_1."""
-        return not (self.z_exp[0] >= 1 and self.w_exp[0] >= 1)
-
     def __str__(self) -> str:
         parts = []
         for name, exps in (("z", self.z_exp), ("w", self.w_exp)):

@@ -102,11 +102,6 @@ ALL_PATTERNS: tuple[SupportPattern, ...] = tuple(
 )
 
 
-def all_support_patterns() -> tuple[SupportPattern, ...]:
-    """All 64 support patterns in a fixed deterministic order."""
-    return ALL_PATTERNS
-
-
 @dataclass(frozen=True)
 class WeightDatum:
     """Six torus weights plus the character weight of the linearisation.
@@ -152,10 +147,6 @@ class WeightDatum:
         return [self.a[i - 1] for i in sorted(pattern.z_support)] + [
             self.b[j - 1] for j in sorted(pattern.w_support)
         ]
-
-    def support_cone(self, pattern: SupportPattern) -> Cone2:
-        """Cone spanned by the weights of the coordinates alive in the pattern."""
-        return Cone2(tuple(self.supported_weights(pattern)))
 
 
 def flag_datum() -> WeightDatum:

@@ -262,37 +262,24 @@ def verify_hm_reduction(cfg: TrialConfig, sweep_bound: int = 50) -> VerifyReport
     fallback_data = 0
 
     for d in datum_stream(cfg):
-        # int64 is ample for sane inputs; fall back to exact integers when
-        # a dot product could approach the overflow line
-        use_numpy = 2 * _sweep_max_abs(d) * sweep_bound < 2**62
-        if not use_numpy:
+        # int64 is ample for sane inputs; exact Python integers (dtype=object)
+        # when a dot product could approach the overflow line
+        use_int64 = 2 * _sweep_max_abs(d) * sweep_bound < 2**62
+        if not use_int64:
             fallback_data += 1
-        if use_numpy:
-            cols = np.array(d.weights() + (d.c,), dtype=np.int64)
-            vals = dirs @ cols.T  # (directions, 7); last column is <c, alpha>
-            minus_c = -vals[:, 6]
+        cols = np.array(d.weights() + (d.c,), dtype=np.int64 if use_int64 else object)
+        vals = dirs @ cols.T  # (directions, 7); last column is <c, alpha>
+        minus_c = -vals[:, 6]
         for idx, p in enumerate(ALL_PATTERNS):
             verdict = classify_by_one_ps(d, p)
             report.checked += 1
             sel = [i - 1 for i in sorted(p.z_support)] + [
                 j + 2 for j in sorted(p.w_support)
             ]
-            if use_numpy:
-                entries = np.concatenate(
-                    [vals[:, sel], minus_c[:, None]], axis=1
-                )
-                mins = entries.min(axis=1)
-                found_negative = bool((mins > 0).any())
-                found_zero = bool((mins == 0).any())
-            else:
-                found_negative = found_zero = False
-                for alpha in map(tuple, dirs.tolist()):
-                    mu = hm_weight(d, p, alpha)
-                    if mu < 0:
-                        found_negative = True
-                        break
-                    if mu == 0:
-                        found_zero = True
+            entries = np.concatenate([vals[:, sel], minus_c[:, None]], axis=1)
+            mins = entries.min(axis=1)
+            found_negative = bool((mins > 0).any())
+            found_zero = bool((mins == 0).any())
             if found_negative and verdict is not StabilityClass.UNSTABLE:
                 report.record_failure(
                     f"sweep found destabilizing direction but verdict is "
@@ -304,7 +291,7 @@ def verify_hm_reduction(cfg: TrialConfig, sweep_bound: int = 50) -> VerifyReport
                     f"Stable for pattern {p} of {d!r}"
                 )
             # spot-check the vectorized weights against the exact formula
-            if use_numpy and idx % 17 == 0 and cross_checks < 64:
+            if use_int64 and idx % 17 == 0 and cross_checks < 64:
                 row = cross_rng.randrange(dirs.shape[0])
                 alpha = (int(dirs[row, 0]), int(dirs[row, 1]))
                 exact = hm_weight(d, p, alpha)

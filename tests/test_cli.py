@@ -1,13 +1,18 @@
 """End-to-end tests for the command-line interface."""
 
+import io
 import json
 import os
 import shutil
 import subprocess
 import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import conestab
 from conestab.cli import SUITE_NAMES, canonical_json, main
@@ -372,6 +377,29 @@ def moment_config_bytes(z0, a="1", w0=0):
     return json.dumps(doc).encode()
 
 
+def huge_weight_config_bytes(a1):
+    """A constrained datum whose first z-weight is a1 (every a_i + b_i is 0)."""
+    doc = {
+        "A": [a1, [1, 0], [0, 1]],
+        "B": [[f"-{a1[0]}", -a1[1]], [-1, 0], [0, -1]],
+        "C": [1, 1],
+    }
+    return json.dumps(doc).encode()
+
+
+DIGITS_4301 = "1" + "0" * 4300
+
+
+def run_module(*argv):
+    env = dict(os.environ, PYTHONPATH=str(Path(conestab.__file__).parents[1]))
+    return subprocess.run(
+        [sys.executable, "-m", "conestab.cli", *argv],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+
+
 class TestConfigErrors:
     @pytest.mark.parametrize(
         "argv, content",
@@ -387,6 +415,10 @@ class TestConfigErrors:
             (["moment", "--json"], moment_config_bytes(1e200)),
             (["moment"], moment_config_bytes(1e200)),
             (["moment", "--json"], moment_config_bytes(1e300, w0=1e300)),
+            (["analyze"], (FLAG_MOMENT_TEXT % DIGITS_4301).encode()),
+            (["moment", "--json"], (FLAG_MOMENT_TEXT % DIGITS_4301).encode()),
+            (["fan-svg"], huge_weight_config_bytes([BEYOND_DOUBLE, 1])),
+            (["fan-svg", "--shade"], huge_weight_config_bytes([BEYOND_DOUBLE, 0])),
         ],
         ids=[
             "non-utf8",
@@ -400,22 +432,114 @@ class TestConfigErrors:
             "moment-infinite-phi",
             "moment-infinite-phi-text",
             "moment-infinite-residual",
+            "analyze-4301-digit-integer",
+            "moment-4301-digit-integer",
+            "fan-svg-weight-beyond-double",
+            "fan-svg-shade-weight-beyond-double",
         ],
     )
     def test_bad_config_exits_2_without_traceback(self, tmp_path, argv, content):
         cfg = tmp_path / "cfg.json"
         cfg.write_bytes(content)
-        env = dict(os.environ, PYTHONPATH=str(Path(conestab.__file__).parents[1]))
-        proc = subprocess.run(
-            [sys.executable, "-m", "conestab.cli", argv[0], str(cfg), *argv[1:]],
-            capture_output=True,
-            text=True,
-            env=env,
-        )
+        proc = run_module(argv[0], str(cfg), *argv[1:])
         assert proc.returncode == 2
         assert proc.stderr.startswith("error: ")
         assert "Traceback" not in proc.stderr
         assert proc.stdout == ""
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-finite constant {name} in --json output")
+
+
+_NUMBER = st.one_of(
+    st.integers(-3, 3),
+    st.sampled_from([2**53 + 1, 2**63, 10**400, -(10**400)]),
+).flatmap(lambda n: st.sampled_from([n, str(n)]))
+_PAIR = st.lists(_NUMBER, min_size=2, max_size=2)
+_TRIPLE = st.lists(_PAIR, min_size=3, max_size=3)
+_BAD = st.one_of(st.floats(), st.sampled_from([True, None, "x", [], {}, [1], [1, 2, 3]]))
+
+
+@st.composite
+def hostile_config_text(draw):
+    """A config with every field well formed, then at most one value, at
+    any depth, replaced by a bad one, so the fuzz reaches the commands."""
+    doc = draw(
+        st.fixed_dictionaries(
+            {key: _TRIPLE for key in ("A", "B", "wL", "wR", "z", "w")} | {"C": _PAIR}
+        )
+    )
+    key = draw(st.sampled_from([None, *doc]))
+    if key is not None:
+        holder, index = doc, key
+        for _ in range(draw(st.integers(0, 2))):
+            if not isinstance(holder[index], list):
+                break
+            holder, index = holder[index], draw(st.integers(0, len(holder[index]) - 1))
+        holder[index] = draw(_BAD)
+    return json.dumps(doc)
+
+
+# hilbert and --nmax are left out: graded dimensions have no work cap yet
+_FUZZ_ARGV = st.sampled_from(
+    [
+        ["analyze"],
+        ["analyze", "--json"],
+        ["analyze", "--no-constraint", "--json"],
+        ["biquotient"],
+        ["biquotient", "--json"],
+        ["moment"],
+        ["moment", "--json"],
+        ["moment", "--no-constraint", "--json"],
+        ["fan-svg", "--no-constraint"],
+        ["fan-svg", "--shade", "--no-constraint"],
+    ]
+)
+
+
+class TestHostileInput:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "r0", "--trials", "0"],
+            ["verify", "r0", "--trials", "-3"],
+            ["verify", "r0", "--bound", "0"],
+            ["fan-svg", "FLAG", "--json"],
+            ["biquotient", "BIQUOTIENT", "--no-constraint"],
+        ],
+        ids=["trials-0", "trials-negative", "bound-0", "fan-svg-json", "biquotient-no-constraint"],
+    )
+    def test_bad_argv_exits_2_without_traceback(self, tmp_path, argv):
+        paths = {
+            "FLAG": write_config(tmp_path, FLAG_CONFIG, "flag.json"),
+            "BIQUOTIENT": write_config(
+                tmp_path,
+                {"wL": [[1, 0], [1, 0], [1, 0]], "wR": [[0, 0], [0, 0], [1, 1]]},
+                "biquotient.json",
+            ),
+        }
+        proc = run_module(*(paths.get(a, a) for a in argv))
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert proc.stdout == ""
+
+    @settings(max_examples=200, deadline=None)
+    @given(text=hostile_config_text(), argv=_FUZZ_ARGV)
+    def test_main_maps_hostile_configs_to_0_or_2(self, text, argv):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "cfg.json")
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+            out, err = io.StringIO(), io.StringIO()
+            with redirect_stdout(out), redirect_stderr(err):
+                code = main([argv[0], path, *argv[1:]])
+        assert code in (0, 2)
+        if code == 2:
+            assert out.getvalue() == ""
+            assert err.getvalue().startswith("error: ")
+        elif "--json" in argv:
+            json.loads(out.getvalue(), parse_constant=_reject_constant)
 
 
 class TestTopLevel:

@@ -207,42 +207,6 @@ class TestHullDim:
         assert (cone.linear_hull_dim() == 0) == trivial
 
 
-class TestCaratheodoryPair:
-    def test_lexicographically_smallest(self):
-        c = Cone2(((1, 0), (1, 1), (0, 1)))
-        # (1, 2) already lies in the cone of generators 0 and 2, which is
-        # lexicographically before any pair involving generator 1
-        assert c.caratheodory_pair((1, 2)) == (0, 2)
-
-    def test_single_ray_uses_diagonal_pair(self):
-        c = Cone2(((1, 0), (1, 1), (0, 1)))
-        assert c.caratheodory_pair((3, 0)) == (0, 0)
-
-    def test_zero_point(self):
-        assert Cone2(((1, 0),)).caratheodory_pair((0, 0)) == (0, 0)
-        assert Cone2(()).caratheodory_pair((0, 0)) is None
-
-    def test_outside_point_is_misuse(self):
-        with pytest.raises(ValueError):
-            Cone2(((1, 0), (1, 1), (0, 1))).caratheodory_pair((-1, 0))
-
-    @settings(max_examples=300)
-    @given(small_cones, ivec)
-    def test_returned_pair_really_contains(self, cone, p):
-        if not cone.contains(p):
-            with pytest.raises(ValueError):
-                cone.caratheodory_pair(p)
-            return
-        pair = cone.caratheodory_pair(p)
-        if pair is None:
-            assert p == (0, 0) and not cone.generators
-            return
-        i, j = pair
-        assert i <= j
-        sub = Cone2((cone.generators[i], cone.generators[j]))
-        assert sub.contains(p)
-
-
 class TestConeEquality:
     def test_set_equality_ignores_generator_lists(self):
         assert Cone2(((1, 0), (0, 1))) == Cone2(((0, 1), (2, 0), (1, 1)))

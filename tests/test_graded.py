@@ -59,11 +59,6 @@ class TestMonomial:
         assert not m.is_constant()
         assert Monomial((0, 0, 0), (0, 0, 0)).is_constant()
 
-    def test_standard(self):
-        assert Monomial((1, 0, 0), (0, 1, 0)).is_standard()
-        assert not Monomial((1, 0, 0), (1, 0, 0)).is_standard()
-        assert Monomial((0, 2, 0), (1, 0, 0)).is_standard()
-
     def test_str(self):
         assert str(Monomial((0, 0, 0), (0, 0, 0))) == "1"
         assert str(Monomial((2, 0, 1), (0, 1, 0))) == "z1^2*z3*w2"

@@ -17,7 +17,6 @@ from conestab.stability import (
     _TABLE_CACHE_SIZE,
     _cone_table,
     _one_ps_table,
-    all_support_patterns,
     classify_by_cone,
     classify_by_one_ps,
     fan_condition,
@@ -62,7 +61,7 @@ class TestSupportPattern:
             SupportPattern(frozenset({1}), frozenset({4}))
 
     def test_pattern_count(self):
-        assert len(all_support_patterns()) == 64
+        assert len(ALL_PATTERNS) == 64
         assert len(set(ALL_PATTERNS)) == 64
 
     def test_realizability_examples(self):
@@ -112,15 +111,6 @@ class TestWeightDatum:
             a=((1, 0), (2, 0), (1, 0)), b=((0, 1),) * 3, c=(1, 1), constrained=False
         )
         assert not d.constrained
-
-    def test_support_cone(self):
-        d = flag_datum()
-        s = SupportPattern(frozenset({1}), frozenset({2}))
-        assert d.support_cone(s).generators == ((1, 0), (0, 1))
-        empty = SupportPattern(frozenset(), frozenset())
-        assert d.support_cone(empty).generators == ()
-        full = SupportPattern(frozenset({1, 2, 3}), frozenset({1, 2, 3}))
-        assert len(d.support_cone(full).generators) == 6
 
 
 class TestHMWeight:
