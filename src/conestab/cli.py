@@ -358,6 +358,18 @@ def cmd_hilbert(args) -> int:
     return 0
 
 
+def _check_printable(datum: WeightDatum) -> None:
+    """Reject a derived coordinate too long for str() to print."""
+    limit = sys.get_int_max_str_digits()
+    names = ("A1", "A2", "A3", "B1", "B2", "B3", "C")
+    for name, v in zip(names, datum.weights() + (datum.c,)):
+        if limit and any(abs(x) >= 10**limit for x in v):
+            raise InputError(
+                f"derived {name} has more than {limit} digits, past the "
+                "integer-to-string limit sys.get_int_max_str_digits()"
+            )
+
+
 def cmd_biquotient(args) -> int:
     doc = load_config(args.config)
     for key in ("wL", "wR"):
@@ -369,6 +381,7 @@ def cmd_biquotient(args) -> int:
         datum = weights_from_biquotient(w_left, w_right)
     except ValueError as e:
         raise InputError(str(e)) from None
+    _check_printable(datum)
     report = build_analysis_report(datum, nmax=args.nmax)
     payload = report.as_dict()
     payload["biquotient"] = {

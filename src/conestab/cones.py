@@ -77,45 +77,78 @@ def _in_dual(gens: Iterable[Vec2], alpha: Vec2) -> bool:
     return all(dot(g, alpha) >= 0 for g in gens)
 
 
+def positive_relation(vectors: Iterable[Vec2]) -> dict[int, int] | None:
+    """A nontrivial nonnegative integer relation among the inputs, or None.
+
+    Returns {index: coefficient} with positive coefficients whose weighted
+    sum of inputs is (0, 0).  In the plane a minimal relation is supported
+    on a zero vector, an opposite pair, or a triple whose triangle
+    surrounds the origin (Caratheodory), so those three shapes are
+    enumerated in that order and the first hit is returned.  By Gordan's
+    alternative the answer is None exactly when some linear form is
+    strictly positive on every input, the question ``strictly_separates``
+    answers from the dual side.  The inputs must already be ``Vec2``
+    tuples: they are not coerced, because ``has_apex`` sits on hot paths.
+    """
+    vs = tuple(vectors)
+    if ZERO in vs:
+        return {vs.index(ZERO): 1}
+    n = len(vs)
+    for i in range(n):
+        u = vs[i]
+        for j in range(i + 1, n):
+            v = vs[j]
+            if cross(u, v) == 0 and dot(u, v) < 0:
+                if u[0] != 0:
+                    return {i: abs(v[0]), j: abs(u[0])}
+                return {i: abs(v[1]), j: abs(u[1])}
+    for i in range(n):
+        u = vs[i]
+        for j in range(i + 1, n):
+            v = vs[j]
+            c1 = cross(u, v)
+            for k in range(j + 1, n):
+                w = vs[k]
+                c2 = cross(v, w)
+                c3 = cross(w, u)
+                if c1 == 0 and c2 == 0 and c3 == 0:
+                    continue
+                if c1 >= 0 and c2 >= 0 and c3 >= 0:
+                    return {i: c2, j: c3, k: c1}
+                if c1 <= 0 and c2 <= 0 and c3 <= 0:
+                    return {i: -c2, j: -c3, k: -c1}
+    return None
+
+
 def strictly_separates(vectors: Iterable[Vec2]) -> Vec2 | None:
-    """Find an integer direction pairing strictly positively with every input.
+    """An integer direction pairing strictly positively with every input, or None.
 
-    Returns some alpha with <v, alpha> > 0 for all v, or None when no such
-    direction exists.  The empty collection is separable by convention and
-    yields (1, 0).  A zero vector in the input makes the problem infeasible.
-
-    Candidates are drawn from the inputs themselves (which settles the
-    collinear case), from the boundary rays of the dual cone (the +-90
-    degree rotations of the inputs), and from sums of two such boundary
-    rays, which reach the dual interior whenever it is nonempty.  Every
-    candidate is verified before being returned, so the witness is always
-    genuine.
+    The empty collection yields (1, 0); a zero vector makes the problem
+    infeasible.  One pass keeps the extreme inputs lo, hi of the
+    counterclockwise wedge the inputs span, and stops as soon as an input
+    would widen it to a half-plane.  A narrower wedge is strictly
+    separated by perp(lo) - perp(hi), the sum of its inward normals, or by
+    lo when it is a single ray.  The answer is verified before it is
+    returned.  This is the dual side of ``positive_relation``.
     """
     vs = [as_vec2(v) for v in vectors]
     if not vs:
         return (1, 0)
-    if any(v == ZERO for v in vs):
+    if ZERO in vs:
         return None
-
-    def strict(alpha: Vec2) -> bool:
-        return all(dot(v, alpha) > 0 for v in vs)
-
-    for v in vs:
-        if strict(v):
-            return v
-    boundary = []
-    for v in vs:
-        for q in (perp(v), neg(perp(v))):
-            if _in_dual(vs, q):
-                if strict(q):
-                    return q
-                boundary.append(q)
-    for i, q in enumerate(boundary):
-        for r in boundary[i + 1:]:
-            s = (q[0] + r[0], q[1] + r[1])
-            if strict(s):
-                return s
-    return None
+    lo = hi = vs[0]
+    for v in vs[1:]:
+        after_lo, before_hi = cross(lo, v), cross(v, hi)
+        if after_lo < 0 < before_hi:
+            lo = v
+        elif before_hi < 0 < after_lo:
+            hi = v
+        elif after_lo < 0 or before_hi < 0 or (after_lo == 0 == before_hi and dot(lo, v) < 0):
+            return None
+    p, q = perp(lo), perp(hi)
+    alpha = lo if cross(lo, hi) == 0 else (p[0] - q[0], p[1] - q[1])
+    assert all(dot(v, alpha) > 0 for v in vs), (alpha, vs)
+    return alpha
 
 
 @dataclass(frozen=True, eq=False)
@@ -196,35 +229,11 @@ class Cone2:
     def has_apex(self) -> bool:
         """True iff some linear form is strictly positive on every nonzero generator.
 
-        Decided combinatorially: the apex fails exactly when 0 is a convex
-        combination of nonzero generators, which in the plane means either
-        two opposite generators or a triple whose triangle surrounds the
-        origin (Gordan's alternative plus Caratheodory).
+        By Gordan's alternative that fails exactly when the nonzero
+        generators satisfy a nontrivial nonnegative relation, which
+        ``positive_relation`` searches for.
         """
-        nz = self._nonzero()
-        n = len(nz)
-        for i in range(n):
-            u = nz[i]
-            for j in range(i + 1, n):
-                v = nz[j]
-                if cross(u, v) == 0 and dot(u, v) < 0:
-                    return False
-        for i in range(n):
-            u = nz[i]
-            for j in range(i + 1, n):
-                v = nz[j]
-                c1 = cross(u, v)
-                for k in range(j + 1, n):
-                    w = nz[k]
-                    c2 = cross(v, w)
-                    c3 = cross(w, u)
-                    if c1 == 0 and c2 == 0 and c3 == 0:
-                        continue
-                    if (c1 >= 0 and c2 >= 0 and c3 >= 0) or (
-                        c1 <= 0 and c2 <= 0 and c3 <= 0
-                    ):
-                        return False
-        return True
+        return positive_relation(self._nonzero()) is None
 
     def linear_hull_dim(self) -> int:
         """Dimension (0, 1 or 2) of the linear span of the generators."""

@@ -14,8 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
-from conestab.cones import ZERO, Vec2, cross, dot, strictly_separates
-from conestab.stability import WeightDatum, r0_is_trivial
+from conestab.cones import ZERO, Vec2, dot, positive_relation, strictly_separates
+from conestab.stability import WeightDatum
 
 
 @dataclass(frozen=True)
@@ -97,15 +97,14 @@ def graded_dim(datum: WeightDatum, degree: int) -> int:
     """
     if degree < 0:
         raise ValueError("degree must be nonnegative")
-    if not r0_is_trivial(datum):
+    ws = datum.weights()
+    f = strictly_separates(ws)
+    if f is None:
         raise ValueError(
             "graded dimensions are finite only when the degree-0 invariants are "
             "trivial (all weights nonzero and spanning a cone with apex); "
             "this datum admits a nonconstant invariant monomial"
         )
-    ws = datum.weights()
-    f = strictly_separates(ws)
-    assert f is not None
     t = (degree * datum.c[0], degree * datum.c[1])
     a1, b1 = datum.a[0], datum.b[0]
     rest = (t[0] - a1[0] - b1[0], t[1] - a1[1] - b1[1])
@@ -119,63 +118,20 @@ def hilbert_table(datum: WeightDatum, n_max: int) -> list[int]:
     return [graded_dim(datum, n) for n in range(n_max + 1)]
 
 
-def _monomial_from_coeffs(coeffs: dict[int, int]) -> Monomial:
-    k = [0, 0, 0]
-    l = [0, 0, 0]
-    for idx, e in coeffs.items():
-        if idx < 3:
-            k[idx] = e
-        else:
-            l[idx - 3] = e
-    return Monomial(z_exp=tuple(k), w_exp=tuple(l))
-
-
 def find_invariant_monomial(datum: WeightDatum) -> Monomial | None:
     """A nonconstant monomial of weight (0, 0), or None when there is none.
 
-    Searches for a nontrivial nonnegative rational relation among the six
-    weights and scales it to integers.  In the plane a minimal relation is
-    supported on a zero weight, an opposite pair, or a triple whose
-    triangle surrounds the origin, so those three shapes are enumerated in
-    a fixed order and the first hit is returned (with exponents reduced).
-    The witness weight is re-verified before returning.
+    Its exponents are the first nonnegative relation among the six weights
+    that ``positive_relation`` finds, divided by their gcd.  The witness
+    weight is re-verified before returning.
     """
-    ws = datum.weights()
-
-    def finish(coeffs: dict[int, int]) -> Monomial:
-        g = 0
-        for e in coeffs.values():
-            g = gcd(g, e)
-        m = _monomial_from_coeffs({i: e // g for i, e in coeffs.items()})
-        assert m.weight(datum) == ZERO and not m.is_constant()
-        return m
-
-    for i, v in enumerate(ws):
-        if v == ZERO:
-            return finish({i: 1})
-    for i in range(6):
-        u = ws[i]
-        for j in range(i + 1, 6):
-            v = ws[j]
-            if cross(u, v) == 0 and dot(u, v) < 0:
-                if u[0] != 0:
-                    p, q = abs(v[0]), abs(u[0])
-                else:
-                    p, q = abs(v[1]), abs(u[1])
-                return finish({i: p, j: q})
-    for i in range(6):
-        u = ws[i]
-        for j in range(i + 1, 6):
-            v = ws[j]
-            c1 = cross(u, v)
-            for k in range(j + 1, 6):
-                w = ws[k]
-                c2 = cross(v, w)
-                c3 = cross(w, u)
-                if c1 == 0 and c2 == 0 and c3 == 0:
-                    continue
-                if c1 >= 0 and c2 >= 0 and c3 >= 0:
-                    return finish({i: c2, j: c3, k: c1})
-                if c1 <= 0 and c2 <= 0 and c3 <= 0:
-                    return finish({i: -c2, j: -c3, k: -c1})
-    return None
+    coeffs = positive_relation(datum.weights())
+    if coeffs is None:
+        return None
+    g = gcd(*coeffs.values())
+    exps = [0] * 6
+    for i, e in coeffs.items():
+        exps[i] = e // g
+    m = Monomial(z_exp=tuple(exps[:3]), w_exp=tuple(exps[3:]))
+    assert m.weight(datum) == ZERO and not m.is_constant()
+    return m

@@ -32,6 +32,7 @@ from conestab.cones import (
     neg,
     on_ray,
     perp,
+    positive_relation,
 )
 
 _INDICES = (1, 2, 3)
@@ -129,11 +130,18 @@ class WeightDatum:
                 "character weight C must be nonzero; the torus character is assumed nontrivial"
             )
         if self.constrained:
-            sums = {(ai[0] + bi[0], ai[1] + bi[1]) for ai, bi in zip(a, b)}
-            if len(sums) != 1:
+            sums = [(ai[0] + bi[0], ai[1] + bi[1]) for ai, bi in zip(a, b)]
+            if len(set(sums)) != 1:
+                try:
+                    got = f"got {sorted(set(sums))}"
+                except ValueError:  # a sum is past the int-to-str digit limit
+                    differ = " and ".join(
+                        f"a_{i} + b_{i}" for i in (2, 3) if sums[i - 1] != sums[0]
+                    )
+                    got = f"a_1 + b_1 differs from {differ}; the sums are too long to print"
                 raise ValueError(
                     "weight sums a_i + b_i must be constant across i "
-                    f"(got {sorted(sums)}); pass constrained=False to waive"
+                    f"({got}); pass constrained=False to waive"
                 )
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
@@ -350,14 +358,13 @@ def fan_condition_membership(datum: WeightDatum) -> bool:
 def r0_is_trivial(datum: WeightDatum) -> bool:
     """Do the degree-0 invariants reduce to constants?
 
-    True iff every weight vector is nonzero and the cone spanned by all six
-    has apex 0.  ``find_invariant_monomial`` decides the same question by
-    explicitly hunting for a nonconstant invariant monomial.
+    An invariant monomial is a nonnegative integer relation among the six
+    weights, so they are trivial iff ``positive_relation`` finds none:
+    every weight is nonzero and the six span a cone with apex 0.  The same
+    search yields the witness of ``find_invariant_monomial``; the r0 suite
+    checks it against ``strictly_separates``, the dual answer.
     """
-    ws = datum.weights()
-    if any(v == ZERO for v in ws):
-        return False
-    return Cone2(ws).has_apex()
+    return positive_relation(datum.weights()) is None
 
 
 def weights_from_biquotient(w_left, w_right) -> WeightDatum:

@@ -13,12 +13,11 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from math import gcd
 from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from conestab.cones import Cone2, Vec2, cross, dot, on_ray
+from conestab.cones import Cone2, Vec2, cross, dot, strictly_separates
 from conestab.graded import find_invariant_monomial
 from conestab.stability import (
     ALL_PATTERNS,
@@ -28,7 +27,6 @@ from conestab.stability import (
     fan_condition,
     fan_condition_membership,
     hm_weight,
-    r0_is_trivial,
 )
 
 
@@ -163,18 +161,13 @@ _EXHAUSTIVE_INTCONE_BOUND = 6
 
 
 def _intcone_hypothesis(a: Vec2, b: Vec2, c: Vec2) -> bool:
-    # fast pre-filter; degenerate pairs can never satisfy the hypothesis
-    # because their cone is a union of the two rays
+    """c = s*a + t*b with s, t > 0 for independent a, b, by Cramer's rule.
+
+    Only the signs of the numerators against the determinant matter.
+    Degenerate pairs never qualify: their cone is a union of two rays.
+    """
     d = cross(a, b)
-    if d == 0:
-        return False
-    s = cross(c, b)
-    t = cross(a, c)
-    if d > 0:
-        inside = s >= 0 and t >= 0
-    else:
-        inside = s <= 0 and t <= 0
-    return inside and not on_ray(a, c) and not on_ray(b, c)
+    return d != 0 and cross(c, b) * d > 0 and cross(a, c) * d > 0
 
 
 def verify_intcone(cfg: TrialConfig) -> VerifyReport:
@@ -326,26 +319,36 @@ def _degenerate_variants(d: WeightDatum) -> list[WeightDatum]:
 
 
 def verify_r0(cfg: TrialConfig) -> VerifyReport:
-    """Trivial degree-0 invariants iff no invariant monomial exists.
+    """Gordan's alternative for the six weights, each side with its certificate.
 
-    Every trial also exercises two forced degenerations (a zeroed weight
-    and an opposite pair) since random data rarely hits them.
+    Exactly one of an invariant monomial (a nonnegative relation among the
+    weights, from ``positive_relation``) and a direction pairing strictly
+    positively with every weight (``strictly_separates``) must exist.  Each
+    certificate is checked on its own: the monomial has weight (0, 0) and
+    is nonconstant, the direction pairs positively with each weight.  Every
+    trial also exercises two forced degenerations (a zeroed weight and an
+    opposite pair) since random data rarely hits them.
     """
     report = VerifyReport(suite="r0", config=cfg)
     for d in datum_stream(cfg):
         for variant in [d] + _degenerate_variants(d):
             report.checked += 1
+            ws = variant.weights()
             witness = find_invariant_monomial(variant)
-            trivial = r0_is_trivial(variant)
-            if (witness is None) != trivial:
+            alpha = strictly_separates(ws)
+            if (witness is None) == (alpha is None):
                 report.record_failure(
-                    f"r0 trivial={trivial} but witness={witness} for {variant!r}"
+                    f"witness={witness} and separator={alpha} for {variant!r}"
                 )
             elif witness is not None and (
                 witness.weight(variant) != (0, 0) or witness.is_constant()
             ):
                 report.record_failure(
                     f"bad witness {witness} for {variant!r}"
+                )
+            elif alpha is not None and not all(dot(w, alpha) > 0 for w in ws):
+                report.record_failure(
+                    f"bad separator {alpha} for {variant!r}"
                 )
     return report
 

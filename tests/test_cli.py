@@ -388,6 +388,18 @@ def huge_weight_config_bytes(a1):
 
 
 DIGITS_4301 = "1" + "0" * 4300
+NINES_4300 = "9" * 4300  # within the 4,300-digit limit; twice it is not
+# biquotient derives A1 = wL1 - wR1 = 2 * NINES_4300, one digit too long to print
+DERIVED_PAST_DIGIT_LIMIT = {
+    "wL": [[NINES_4300, 0], [0, 0], [0, 0]],
+    "wR": [["-" + NINES_4300, 0], [0, 0], [1, 1]],
+}
+# A1 + B1 is one digit too long to print, and differs from A2 + B2 and A3 + B3
+SUMS_PAST_DIGIT_LIMIT = {
+    "A": [[NINES_4300, 0], [0, 0], [0, 0]],
+    "B": [[NINES_4300, 0], [0, 1], [0, 0]],
+    "C": [1, 1],
+}
 
 
 def run_module(*argv):
@@ -419,6 +431,8 @@ class TestConfigErrors:
             (["moment", "--json"], (FLAG_MOMENT_TEXT % DIGITS_4301).encode()),
             (["fan-svg"], huge_weight_config_bytes([BEYOND_DOUBLE, 1])),
             (["fan-svg", "--shade"], huge_weight_config_bytes([BEYOND_DOUBLE, 0])),
+            (["biquotient"], json.dumps(DERIVED_PAST_DIGIT_LIMIT).encode()),
+            (["analyze"], json.dumps(SUMS_PAST_DIGIT_LIMIT).encode()),
         ],
         ids=[
             "non-utf8",
@@ -436,6 +450,8 @@ class TestConfigErrors:
             "moment-4301-digit-integer",
             "fan-svg-weight-beyond-double",
             "fan-svg-shade-weight-beyond-double",
+            "biquotient-derived-4301-digit-weight",
+            "analyze-4301-digit-weight-sum",
         ],
     )
     def test_bad_config_exits_2_without_traceback(self, tmp_path, argv, content):
@@ -446,6 +462,15 @@ class TestConfigErrors:
         assert proc.stderr.startswith("error: ")
         assert "Traceback" not in proc.stderr
         assert proc.stdout == ""
+
+    def test_digit_limit_errors_name_the_culprit(self, tmp_path, capsys):
+        code, _, err = run_cli(
+            capsys, "biquotient", write_config(tmp_path, DERIVED_PAST_DIGIT_LIMIT)
+        )
+        assert code == 2 and err.startswith("error: derived A1 has more than 4300 digits")
+        code, _, err = run_cli(capsys, "analyze", write_config(tmp_path, SUMS_PAST_DIGIT_LIMIT))
+        assert code == 2
+        assert "a_1 + b_1 differs from a_2 + b_2 and a_3 + b_3" in err
 
 
 def _reject_constant(name):

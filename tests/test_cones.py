@@ -11,6 +11,7 @@ from conestab.cones import (
     neg,
     on_ray,
     perp,
+    positive_relation,
     strictly_separates,
 )
 from conftest import (
@@ -22,6 +23,20 @@ from conftest import (
 
 ivec = st.tuples(st.integers(-6, 6), st.integers(-6, 6))
 small_cones = st.lists(ivec, min_size=0, max_size=5).map(Cone2)
+_BIG = 10**30
+bigvec = st.tuples(st.integers(-_BIG, _BIG), st.integers(-_BIG, _BIG))
+
+
+@st.composite
+def gordan_lists(draw):
+    """Up to 7 vectors, small or 10^30-sized, with zeros and collinear copies."""
+    vs = draw(st.lists(st.one_of(ivec, bigvec, st.just((0, 0))), max_size=7))
+    for i in draw(st.lists(st.integers(0, 6), max_size=3)):
+        if i < len(vs):
+            u = draw(st.sampled_from(vs))
+            k = draw(st.sampled_from([-3, -1, 1, 2]))
+            vs[i] = (k * u[0], k * u[1])
+    return vs
 
 
 class TestContains:
@@ -164,6 +179,26 @@ class TestApexAndSeparation:
         assert (alpha is not None) == found
         if alpha is not None:
             assert all(dot(v, alpha) > 0 for v in vs) or not vs
+
+    def test_positive_relation_examples(self):
+        assert positive_relation([]) is None
+        assert positive_relation([(1, 0), (0, 1)]) is None
+        assert positive_relation([(1, 0), (0, 0)]) == {1: 1}
+        assert positive_relation([(2, 0), (-3, 0)]) == {0: 3, 1: 2}
+        assert positive_relation([(1, 0), (0, 1), (-1, -1)]) == {0: 1, 1: 1, 2: 1}
+
+    @settings(max_examples=500)
+    @given(gordan_lists())
+    def test_gordan_alternative(self, vs):
+        relation = positive_relation(vs)
+        alpha = strictly_separates(vs)
+        assert (relation is None) != (alpha is None)
+        if relation is not None:
+            assert all(e >= 0 for e in relation.values()) and any(relation.values())
+            for k in (0, 1):
+                assert sum(e * vs[i][k] for i, e in relation.items()) == 0
+        else:
+            assert all(dot(v, alpha) > 0 for v in vs)
 
     @settings(max_examples=300)
     @given(st.lists(ivec, min_size=0, max_size=5))

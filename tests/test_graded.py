@@ -5,6 +5,7 @@ from itertools import product
 
 import pytest
 
+from conestab.cones import strictly_separates
 from conestab.graded import Monomial, find_invariant_monomial, graded_dim, hilbert_table
 from conestab.stability import WeightDatum, flag_datum, r0_is_trivial
 from conftest import scan_strict_separator
@@ -182,6 +183,8 @@ class TestFindInvariantMonomial:
                 d = random_test_datum(rng, bound=4, constrained=constrained)
                 m = find_invariant_monomial(d)
                 assert (m is None) == r0_is_trivial(d), d
+                # the dual side shares no code with the monomial search
+                assert (m is None) == (strictly_separates(d.weights()) is not None), d
                 if m is not None:
                     assert m.weight(d) == (0, 0)
                     assert not m.is_constant()

@@ -5,6 +5,8 @@ import random
 
 import pytest
 
+from conestab import verify
+from conestab.cones import neg
 from conestab.stability import WeightDatum, flag_datum
 from conestab.verify import (
     VERIFY_SUITES,
@@ -146,6 +148,11 @@ class TestIntconeSuite:
         # on the first ray: membership holds but the hypothesis excludes it
         assert not _intcone_hypothesis((1, 0), (2, 0), (3, 0))
         assert not _intcone_hypothesis((1, 0), (0, 1), (1, 0))
+        assert not _intcone_hypothesis((1, 0), (0, 1), (0, 0))
+        # a clockwise pair: cross(a, b) < 0
+        assert _intcone_hypothesis((0, 1), (1, 0), (1, 1))
+        assert not _intcone_hypothesis((0, 1), (1, 0), (-1, 1))
+        assert not _intcone_hypothesis((0, 1), (1, 0), (1, 0))
 
 
 class TestHmReductionSuite:
@@ -182,6 +189,23 @@ class TestR0Suite:
         assert report.passed, report.first_failure
         # each trial also checks a zeroed-weight and an opposite-pair variant
         assert report.checked == 3 * 120
+
+    @pytest.mark.parametrize(
+        "fault, message",
+        [(lambda alpha: None, "witness=None"), (neg, "bad separator")],
+        ids=["missing-separator", "non-separating"],
+    )
+    def test_planted_separator_fault_is_reported(self, monkeypatch, fault, message):
+        real = verify.strictly_separates
+
+        def planted(vs):
+            alpha = real(vs)
+            return None if alpha is None else fault(alpha)
+
+        monkeypatch.setattr(verify, "strictly_separates", planted)
+        report = verify_r0(TrialConfig(seed=42, trials=120, coord_bound=6))
+        assert not report.passed
+        assert report.first_failure.startswith(message)
 
 
 class TestMomentMap:
