@@ -26,10 +26,11 @@ import sys
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from conestab.cones import Cone2
+from conestab.cones import ZERO, Cone2
 from conestab.graded import find_invariant_monomial, hilbert_table
 from conestab.stability import (
     ALL_PATTERNS,
+    StabilityClass,
     SupportPattern,
     WeightDatum,
     classify_by_cone,
@@ -53,7 +54,66 @@ class InternalError(Exception):
     """A cross-check the tool guarantees has failed; maps to exit code 1."""
 
 
+_PLACEHOLDER = "\x00conestab pattern table\x00"
+_PLACEHOLDER_JSON = json.dumps(_PLACEHOLDER)
+_ROW_KEYS = {"z_support", "w_support", "realizable", "in_M", "class_hm", "class_cone"}
+_VERDICTS = frozenset(v.value for v in StabilityClass)
+# Encoded pattern rows, indented to their depth in a report.  Real reports
+# have at most 64 patterns x 3 verdicts; the cap bounds made-up rows.
+_ROW_TEXT: dict[tuple, str] = {}
+_ROW_TEXT_CAP = 1024
+
+
+def _pattern_table_text(table) -> str | None:
+    """json.dumps of a report's pattern table at depth 1, or None unless
+    every row has the six keys, integer supports, two booleans and two
+    verdict strings."""
+    if type(table) is not list:
+        return None
+    rows = []
+    for row in table:
+        if type(row) is not dict or row.keys() != _ROW_KEYS:
+            return None
+        z, w = row["z_support"], row["w_support"]
+        realizable, in_m = row["realizable"], row["in_M"]
+        hm, cone = row["class_hm"], row["class_cone"]
+        if not (type(z) is list and type(w) is list
+                and type(realizable) is bool and type(in_m) is bool):
+            return None
+        key = (tuple(z), tuple(w), realizable, in_m, hm, cone)
+        try:
+            text = _ROW_TEXT.get(key)
+        except TypeError:  # an unhashable value, which no well-formed row has
+            return None
+        if text is None:
+            if not (all(type(i) is int for i in z + w) and hm in _VERDICTS and cone in _VERDICTS):
+                return None
+            text = "    " + json.dumps(row, sort_keys=True, indent=2).replace("\n", "\n    ")
+            if len(_ROW_TEXT) < _ROW_TEXT_CAP:
+                _ROW_TEXT[key] = text
+        rows.append(text)
+    # A key compares by value, and 1 == 1.0 == True, but json.dumps writes
+    # each differently: the cached text is this row's only for exact ints.
+    if not {type(i) for row in table for i in row["z_support"] + row["w_support"]} <= {int}:
+        return None
+    return "[\n" + ",\n".join(rows) + "\n  ]" if rows else "[]"
+
+
 def canonical_json(obj) -> str:
+    """``json.dumps(obj, sort_keys=True, indent=2)`` plus a newline.
+
+    The indenting encoder runs in pure Python, so a report's 64-row
+    pattern table would dominate the cost.  Each distinct row is encoded
+    once, by ``json.dumps`` itself, and spliced into the dump of the rest
+    of the payload in place of a placeholder string; any other payload is
+    dumped whole.  Either way the bytes are those of ``json.dumps``.
+    """
+    if type(obj) is dict and "pattern_table" in obj:
+        table = _pattern_table_text(obj["pattern_table"])
+        if table is not None:
+            text = json.dumps({**obj, "pattern_table": _PLACEHOLDER}, sort_keys=True, indent=2)
+            if text.count(_PLACEHOLDER_JSON) == 1:
+                return text.replace(_PLACEHOLDER_JSON, table) + "\n"
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
@@ -146,10 +206,20 @@ def complex3_from_config(doc: dict, key: str) -> tuple[complex, complex, complex
 
 class PatternRow(NamedTuple):
     pattern: SupportPattern
+    z_support: tuple[int, ...]  # sorted
+    w_support: tuple[int, ...]
     realizable: bool
     in_m: bool
     class_hm: str
     class_cone: str
+
+
+# the columns of a row that depend only on the pattern, never on the datum
+_PATTERN_COLUMNS = tuple(
+    (p, tuple(sorted(p.z_support)), tuple(sorted(p.w_support)),
+     p.is_realizable(), p.is_open_pattern())
+    for p in ALL_PATTERNS
+)
 
 
 @dataclass
@@ -177,8 +247,8 @@ class AnalysisReport:
             "r0_trivial": self.r0_trivial,
             "pattern_table": [
                 {
-                    "z_support": sorted(row.pattern.z_support),
-                    "w_support": sorted(row.pattern.w_support),
+                    "z_support": list(row.z_support),
+                    "w_support": list(row.w_support),
                     "realizable": row.realizable,
                     "in_M": row.in_m,
                     "class_hm": row.class_hm,
@@ -209,23 +279,21 @@ def build_analysis_report(datum: WeightDatum, nmax: int | None = None) -> Analys
             f"for {datum!r}"
         )
     rows = []
-    for p in ALL_PATTERNS:
+    for columns in _PATTERN_COLUMNS:
+        p = columns[0]
         hm = classify_by_one_ps(datum, p)
         cone = classify_by_cone(datum, p)
         if hm is not cone:
             raise InternalError(
                 f"classifiers disagree on pattern {p}: {hm} vs {cone} for {datum!r}"
             )
-        rows.append(
-            PatternRow(
-                pattern=p,
-                realizable=p.is_realizable(),
-                in_m=p.is_open_pattern(),
-                class_hm=str(hm),
-                class_cone=str(cone),
-            )
-        )
+        rows.append(PatternRow(*columns, hm.value, cone.value))
     trivial = r0_is_trivial(datum)
+    # Both answers come from positive_relation: over all six weights for
+    # r0, over the nonzero ones for the apex, so they differ only when a
+    # weight is zero.
+    ws = datum.weights()
+    apex = trivial or (ZERO in ws and Cone2(ws).has_apex())
     hilbert = None
     if nmax is not None:
         if not trivial:
@@ -233,7 +301,7 @@ def build_analysis_report(datum: WeightDatum, nmax: int | None = None) -> Analys
         hilbert = hilbert_table(datum, nmax)
     return AnalysisReport(
         datum=datum,
-        apex=Cone2(datum.weights()).has_apex(),
+        apex=apex,
         star=star,
         star_prime=star_prime,
         r0_trivial=trivial,

@@ -1,4 +1,4 @@
-"""Shared brute-force oracles for the test suite.
+"""Shared brute-force oracles and random data for the test suite.
 
 These deliberately avoid the library's own decision procedures: membership
 is certified by searching small rational combinations, non-membership and
@@ -13,6 +13,7 @@ from fractions import Fraction
 from itertools import product
 
 from conestab.cones import dot
+from conestab.stability import WeightDatum
 
 
 def combo_certifies(gens, p, max_numerator=6, denominator=3):
@@ -69,3 +70,19 @@ def scan_strict_separator(vectors):
 def oracle_contains(gens, p):
     """Exact membership oracle via the separation scan."""
     return scan_separator(gens, p) is None
+
+
+def random_test_datum(rng, bound=8, constrained=True):
+    def vec():
+        return (rng.randint(-bound, bound), rng.randint(-bound, bound))
+
+    a = (vec(), vec(), vec())
+    if constrained:
+        s = vec()
+        b = tuple((s[0] - ai[0], s[1] - ai[1]) for ai in a)
+    else:
+        b = (vec(), vec(), vec())
+    c = vec()
+    while c == (0, 0):
+        c = vec()
+    return WeightDatum(a=a, b=b, c=c, constrained=constrained)

@@ -3,6 +3,7 @@
 import io
 import json
 import os
+import random
 import shutil
 import subprocess
 import sys
@@ -15,10 +16,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import conestab
-from conestab.cli import SUITE_NAMES, canonical_json, main
-from conestab.stability import WeightDatum, flag_datum
+from conestab import cli
+from conestab.cli import SUITE_NAMES, build_analysis_report, canonical_json, main
+from conestab.cones import Cone2
+from conestab.stability import WeightDatum, flag_datum, r0_is_trivial, weights_from_biquotient
 from conestab.svg import fan_svg
 from conestab.verify import VERIFY_SUITES
+
+from conftest import random_test_datum
 
 FLAG_CONFIG = {
     "A": [[1, 0], [1, 0], [1, 0]],
@@ -38,6 +43,11 @@ def write_config(tmp_path, doc, name="cfg.json"):
     path = tmp_path / name
     path.write_text(json.dumps(doc))
     return str(path)
+
+
+def reference_json(doc):
+    """The canonical form the --json writer promises."""
+    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
 def run_cli(capsys, *args):
@@ -95,7 +105,7 @@ class TestAnalyze:
 
     def test_json_round_trips_byte_identically(self, capsys, flag_config):
         _, out, _ = run_cli(capsys, "analyze", flag_config, "--json")
-        assert canonical_json(json.loads(out)) == out
+        assert reference_json(json.loads(out)) == out
 
     def test_nmax_adds_hilbert(self, capsys, flag_config):
         code, out, _ = run_cli(capsys, "analyze", flag_config, "--json", "--nmax", "3")
@@ -202,7 +212,7 @@ class TestVerifyCommand:
         assert doc["suite"] == "r0"
         assert doc["passed"] is True
         assert doc["checked"] == 90
-        assert canonical_json(doc) == out
+        assert reference_json(doc) == out
 
     def test_intcone_exhaustive_via_bound(self, capsys):
         code, out, _ = run_cli(
@@ -316,7 +326,7 @@ class TestBiquotientCommand:
         assert doc["star"] is False
         assert doc["biquotient"]["star_hypothesis"] is False
         assert doc["datum"]["C"] == [2, 0]
-        assert canonical_json(doc) == out
+        assert reference_json(doc) == out
 
     def test_equal_right_weights_rejected(self, capsys, tmp_path):
         cfg = write_config(
@@ -564,7 +574,158 @@ class TestHostileInput:
             assert out.getvalue() == ""
             assert err.getvalue().startswith("error: ")
         elif "--json" in argv:
-            json.loads(out.getvalue(), parse_constant=_reject_constant)
+            doc = json.loads(out.getvalue(), parse_constant=_reject_constant)
+            assert out.getvalue() == reference_json(doc)
+
+
+def _vec(bound):
+    return st.tuples(st.integers(-bound, bound), st.integers(-bound, bound))
+
+
+@st.composite
+def random_datum(draw):
+    """Constrained or not, at bound 2 (zero, collinear and opposite weights
+    are common there) or bound 20."""
+    bound = draw(st.sampled_from([2, 20]))
+    a = draw(st.tuples(_vec(bound), _vec(bound), _vec(bound)))
+    c = draw(_vec(bound).filter(any))
+    if draw(st.booleans()):
+        s = draw(_vec(bound))
+        return WeightDatum(a=a, b=tuple((s[0] - x, s[1] - y) for x, y in a), c=c)
+    b = draw(st.tuples(_vec(bound), _vec(bound), _vec(bound)))
+    return WeightDatum(a=a, b=b, c=c, constrained=False)
+
+
+@st.composite
+def report_payload(draw):
+    """A real analyze or biquotient payload, with or without hilbert, its
+    pattern table cut to a prefix of any length."""
+    if draw(st.booleans()):
+        w_left = draw(st.tuples(_vec(3), _vec(3), _vec(3)))
+        w_right = draw(st.tuples(_vec(3), _vec(3), _vec(3)).filter(lambda w: w[0] != w[2]))
+        datum = weights_from_biquotient(w_left, w_right)
+    else:
+        w_left = None
+        datum = draw(random_datum())
+    nmax = 2 if r0_is_trivial(datum) and draw(st.booleans()) else None
+    report = build_analysis_report(datum, nmax=nmax)
+    payload = report.as_dict()
+    if w_left is not None:
+        payload["biquotient"] = {
+            "wL": [list(v) for v in w_left],
+            "wR": [list(v) for v in w_right],
+            "star_hypothesis": report.star,
+        }
+    payload["pattern_table"] = payload["pattern_table"][: draw(st.sampled_from([64, 0, 1, 5]))]
+    return payload
+
+
+_ODD_VALUES = st.sampled_from(
+    [1, 1.0, True, None, "stable ", "unstable", [1], (1,), "1", {"1": 1}, [1.0], [True], [[1]],
+     cli._PLACEHOLDER]
+)
+
+
+@st.composite
+def odd_payload(draw):
+    """A real payload with one value replaced, one key added to a row, or
+    the splice placeholder stored outside the pattern table."""
+    payload = draw(report_payload())
+    rows = payload["pattern_table"]
+    where = draw(st.sampled_from(["row-value", "row-key", "placeholder", "table"]))
+    if where == "row-value" and rows:
+        row = rows[draw(st.integers(0, len(rows) - 1))]
+        row[draw(st.sampled_from(sorted(row)))] = draw(_ODD_VALUES)
+    elif where == "row-key" and rows:
+        rows[draw(st.integers(0, len(rows) - 1))]["note"] = draw(_ODD_VALUES)
+    elif where == "placeholder":
+        holder = draw(st.sampled_from([payload, payload["datum"]]))
+        holder[draw(st.sampled_from(["note", cli._PLACEHOLDER]))] = cli._PLACEHOLDER
+    else:
+        payload["pattern_table"] = draw(_ODD_VALUES)
+    return payload
+
+
+class TestCanonicalJson:
+    @settings(max_examples=150, deadline=None)
+    @given(payload=report_payload())
+    def test_real_reports_match_json_dumps(self, payload):
+        assert canonical_json(payload) == reference_json(payload)
+
+    @settings(max_examples=300, deadline=None)
+    @given(payload=odd_payload())
+    def test_odd_payloads_match_json_dumps(self, payload):
+        assert canonical_json(payload) == reference_json(payload)
+
+    def test_equal_values_of_other_types_are_not_mistaken(self, monkeypatch):
+        """1 == 1.0 == True, but json.dumps writes each differently: no row
+        may be served the cached text of a row equal to it, in either order."""
+        monkeypatch.setattr(cli, "_ROW_TEXT", {})
+        payload = build_analysis_report(flag_datum()).as_dict()
+        odd = []
+        for row in payload["pattern_table"]:
+            z = row["z_support"]
+            for key, value in (
+                ("realizable", int(row["realizable"])),
+                ("in_M", float(row["in_M"])),
+                ("z_support", [float(k) for k in z]),
+                ("z_support", [k == 1 or k for k in z]),
+                ("z_support", tuple(z)),
+                ("class_hm", True),
+                ("class_hm", 1),
+            ):
+                odd.append(dict(payload, pattern_table=[dict(row, **{key: value})]))
+        for p in odd + [payload] + odd:
+            assert canonical_json(p) == reference_json(p)
+
+    def test_other_payloads_match_json_dumps(self):
+        for payload in (
+            {"nmax": 2, "dims": [1, 8, 27]},
+            {"phi": [1.0, -0.5], "residual": 0.0},
+            [{"pattern_table": []}],
+            {"pattern_table": [{"z_support": [1]}]},
+            {"pattern_table": [], "note": cli._PLACEHOLDER},
+            {"pattern_table": [], cli._PLACEHOLDER: 1},
+            {},
+        ):
+            assert canonical_json(payload) == reference_json(payload)
+
+    def test_row_cache_stays_within_its_cap(self, monkeypatch):
+        monkeypatch.setattr(cli, "_ROW_TEXT", {})
+        rng = random.Random(7)
+        for i in range(2000):
+            d = random_test_datum(rng, bound=(2, 20)[i % 2], constrained=i % 3 > 0)
+            payload = build_analysis_report(d).as_dict()
+            assert canonical_json(payload) == reference_json(payload)
+        # a real row is fixed by its pattern and its one verdict
+        assert len(cli._ROW_TEXT) <= 64 * 3 <= cli._ROW_TEXT_CAP
+        monkeypatch.setattr(cli, "_ROW_TEXT", {})
+        row = build_analysis_report(flag_datum()).as_dict()["pattern_table"][0]
+        for k in range(3 * cli._ROW_TEXT_CAP):
+            payload = {"pattern_table": [dict(row, z_support=[k])]}
+            assert canonical_json(payload) == reference_json(payload)
+        assert len(cli._ROW_TEXT) == cli._ROW_TEXT_CAP
+
+
+class TestReportApex:
+    @settings(max_examples=300, deadline=None)
+    @given(datum=random_datum())
+    def test_apex_is_has_apex(self, datum):
+        assert build_analysis_report(datum).apex is Cone2(datum.weights()).has_apex()
+
+    @pytest.mark.parametrize(
+        "a, b",
+        [
+            (((0, 0), (1, 0), (0, 1)), ((1, 1), (0, 1), (1, 0))),  # a zero weight, apex
+            (((0, 0), (1, 0), (-1, 0)), ((1, 1), (0, 1), (1, 0))),  # a zero and an opposite pair
+            (((1, 0), (2, 0), (-1, 0)), ((0, 1), (0, 1), (0, 1))),  # opposite, no zero
+            (((1, 0), (2, 0), (3, 0)), ((1, 1), (2, 2), (0, 1))),  # collinear, apex
+            (((0, 0), (0, 0), (0, 0)), ((0, 0), (0, 0), (0, 0))),  # every weight zero
+        ],
+    )
+    def test_apex_with_zero_collinear_and_opposite_weights(self, a, b):
+        d = WeightDatum(a=a, b=b, c=(1, 1), constrained=False)
+        assert build_analysis_report(d).apex is Cone2(d.weights()).has_apex()
 
 
 class TestTopLevel:

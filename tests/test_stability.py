@@ -27,23 +27,9 @@ from conestab.stability import (
     weights_from_biquotient,
 )
 
+from conftest import random_test_datum
+
 S = StabilityClass
-
-
-def random_test_datum(rng, bound=8, constrained=True):
-    def vec():
-        return (rng.randint(-bound, bound), rng.randint(-bound, bound))
-
-    a = (vec(), vec(), vec())
-    if constrained:
-        s = vec()
-        b = tuple((s[0] - ai[0], s[1] - ai[1]) for ai in a)
-    else:
-        b = (vec(), vec(), vec())
-    c = vec()
-    while c == (0, 0):
-        c = vec()
-    return WeightDatum(a=a, b=b, c=c, constrained=constrained)
 
 
 def primitive_directions(bound):
