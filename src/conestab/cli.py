@@ -268,6 +268,13 @@ def _infinite_dims_error(datum: WeightDatum) -> InputError:
     )
 
 
+def _hilbert_table(datum: WeightDatum, nmax: int) -> list[int]:
+    try:
+        return hilbert_table(datum, nmax)
+    except ValueError as e:  # the table's work bound is past graded.MAX_TABLE_WORK
+        raise InputError(str(e)) from None
+
+
 def build_analysis_report(datum: WeightDatum, nmax: int | None = None) -> AnalysisReport:
     """Run both classifiers over all 64 patterns and cross-check everything
     the emitted report promises."""
@@ -298,7 +305,7 @@ def build_analysis_report(datum: WeightDatum, nmax: int | None = None) -> Analys
     if nmax is not None:
         if not trivial:
             raise _infinite_dims_error(datum)
-        hilbert = hilbert_table(datum, nmax)
+        hilbert = _hilbert_table(datum, nmax)
     return AnalysisReport(
         datum=datum,
         apex=apex,
@@ -420,7 +427,7 @@ def cmd_hilbert(args) -> int:
     _, datum = _load_datum(args)
     if not r0_is_trivial(datum):
         raise _infinite_dims_error(datum)
-    dims = hilbert_table(datum, args.nmax)
+    dims = _hilbert_table(datum, args.nmax)
     lines = ["   n  dim"] + [f"{n:4d}  {dim}" for n, dim in enumerate(dims)]
     _emit(args, {"nmax": args.nmax, "dims": dims}, "\n".join(lines) + "\n")
     return 0

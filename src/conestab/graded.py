@@ -6,15 +6,18 @@ leading monomial z_1 w_1, so the monomials not divisible by z_1 w_1 form a
 vector-space basis of the quotient.  The dimension of the weight-t piece
 is therefore P(t) - P(t - a_1 - b_1), where P(t) is the vector partition
 function of the six weights: the number of exponent vectors of weight t.
-P is finite exactly when the degree-0 invariants are trivial.
+P is finite exactly when the degree-0 invariants are trivial.  One DP
+counts P at every degree of a table, and its work is bounded before it
+starts.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import gcd
 
-from conestab.cones import ZERO, Vec2, dot, positive_relation, strictly_separates
+from conestab.cones import ZERO, Vec2, cross, dot, positive_relation, strictly_separates
 from conestab.stability import WeightDatum
 
 
@@ -57,30 +60,121 @@ class Monomial:
         return "*".join(parts) if parts else "1"
 
 
-def _exponent_count(ws: tuple[Vec2, ...], f: Vec2, target: Vec2) -> int:
-    """Number of exponent vectors e >= 0 with sum(e_i * ws[i]) == target.
+# A Hilbert table's work is bounded before its DP starts (``_work_bound``),
+# and a table whose bound exceeds this cap is refused with a ValueError.
+# The flag table to degree 40 is bounded by 6,723 steps, and every table
+# the tests, the demos and the benchmark ask for stays below 10,000.  Near
+# the cap a table took 0.4-1.1 s and under 100 MB on a 2-core Xeon.
+MAX_TABLE_WORK = 250_000
 
-    f pairs strictly positively with every weight, so each partial sum x
-    of a solution satisfies f.x <= f.target.  The partial sums over all
-    weights but the last are tabulated as {point: count}, one weight at a
-    time; the last weight is then walked back from the target.
+# Tables are memoised per (datum, n_max) in a small cache, like the
+# classifiers' tables: hilbert_table's call of graded_dim fills the entry
+# that hilbert_table then copies out.
+_TABLE_CACHE_SIZE = 16
+
+
+def _work_bound(ws: tuple[Vec2, ...], f: Vec2, budget: int, n_max: int) -> int:
+    """Upper bound on the DP states plus the walk-back steps of one table.
+
+    The states are lattice points of the triangle {x in cone(ws) : f.x <=
+    budget}, whose vertices are 0 and the points p, q where the cone's two
+    extreme rays meet the line f.x = budget.  A convex set K holds at most
+    area(K) + perimeter(K) / 2 + 1 lattice points: by Pick's theorem the
+    hull H of those points holds area(H) + b / 2 + 1 of them, its b
+    boundary points number at most its perimeter, and H, a convex subset
+    of K, has no larger area or perimeter (a segment or a point included).
+    The L1 perimeter used here is no shorter than the Euclidean one, and
+    the sum is taken in integers, scaled by a common denominator d.
+    Walking the last weight l back from a target t visits floor(f.t / f.l)
+    + 1 points; the 2 (n_max + 1) targets have f.t <= n f.c at degree n.
     """
-    budget = dot(f, target)
-    if budget < 0:
-        return 0
+    # the extreme rays u, v: every weight lies counterclockwise of u, clockwise of v
+    u = next(w for w in ws if all(cross(w, x) >= 0 for x in ws))
+    v = next(w for w in ws if all(cross(x, w) >= 0 for x in ws))
+    fu, fv, fl = dot(f, u), dot(f, v), dot(f, ws[-1])
+    # p = budget u / f.u and q = budget v / f.v; every term is scaled by d
+    d = 2 * fu * fv * fl
+    area = budget * budget * abs(cross(u, v)) * fl
+    half_perimeter = budget * fl * (
+        fv * (abs(u[0]) + abs(u[1]))
+        + fu * (abs(v[0]) + abs(v[1]))
+        + abs(fv * u[0] - fu * v[0])
+        + abs(fv * u[1] - fu * v[1])
+    )
+    walks = (n_max + 1) * (2 * d + 2 * fu * fv * budget)
+    return (area + half_perimeter + d + walks) // d
+
+
+def _magnitude(n: int) -> str:
+    return f"{n:,}" if n.bit_length() <= 64 else f"over 2^{n.bit_length() - 1}"
+
+
+@lru_cache(maxsize=_TABLE_CACHE_SIZE)
+def _table(datum: WeightDatum, n_max: int) -> tuple[int, ...]:
+    """Graded dimensions for degrees 0..n_max, from one partition-count DP.
+
+    f pairs strictly positively with every weight, so every partial sum x
+    of an exponent vector of weight n c satisfies f.x <= n_max f.c, the
+    budget.  The partial sums over the first five weights are tabulated
+    once under the budget as {point: count}; P(t) is then the sum of the
+    counts at t, t - l, t - 2 l, ... for the last weight l, walked back
+    from t = n c and from t = n c - a_1 - b_1 at every degree n.
+    """
+    ws = datum.weights()
+    f = strictly_separates(ws)
+    if f is None:
+        raise ValueError(
+            "graded dimensions are finite only when the degree-0 invariants are "
+            "trivial (all weights nonzero and spanning a cone with apex); "
+            "this datum admits a nonconstant invariant monomial"
+        )
+    budget = n_max * dot(f, datum.c)
+    # with budget <= 0 only the constants are reachable
+    work = _work_bound(ws, f, budget, n_max) if budget > 0 else n_max + 1
+    if work > MAX_TABLE_WORK:
+        raise ValueError(
+            f"this Hilbert table may take {_magnitude(work)} DP states and walk-back "
+            f"steps, past the cap MAX_TABLE_WORK = {MAX_TABLE_WORK:,}"
+        )
+    if budget <= 0:
+        return (1,) + (0,) * n_max
+    f0, f1 = f
     counts = {ZERO: 1}
-    for w in ws[:-1]:
-        step = dot(f, w)
+    for wx, wy in ws[:-1]:
+        step = f0 * wx + f1 * wy
         grown: dict[Vec2, int] = {}
-        for (x, y), n in counts.items():
-            for k in range((budget - dot(f, (x, y))) // step + 1):
-                p = (x + k * w[0], y + k * w[1])
-                grown[p] = grown.get(p, 0) + n
+        # Each count is added along its chain p, p + w, p + 2 w, ... under
+        # the budget.  In order of f-value, the running sum at p - w is
+        # final before p is read, and the walk forward from p stops at the
+        # next tabulated point, which carries the sum on.
+        for p in sorted(counts, key=lambda p: f0 * p[0] + f1 * p[1]):
+            x, y = p
+            n = counts[p] + grown.get((x - wx, y - wy), 0)
+            grown[p] = n
+            room = budget - f0 * x - f1 * y - step
+            while room >= 0:
+                x += wx
+                y += wy
+                if (x, y) in counts:
+                    break
+                grown[x, y] = n
+                room -= step
         counts = grown
-    last = ws[-1]
-    return sum(
-        counts.get((target[0] - k * last[0], target[1] - k * last[1]), 0)
-        for k in range(budget // dot(f, last) + 1)
+    lx, ly = ws[-1]
+    step = f0 * lx + f1 * ly
+
+    def partitions(x: int, y: int) -> int:
+        # a negative f-value walks no steps
+        return sum(
+            counts.get((x - k * lx, y - k * ly), 0)
+            for k in range((f0 * x + f1 * y) // step + 1)
+        )
+
+    (cx, cy), (a1, b1) = datum.c, (datum.a[0], datum.b[0])
+    sx, sy = a1[0] + b1[0], a1[1] + b1[1]
+    return tuple(
+        partitions(n * cx, n * cy) - partitions(n * cx - sx, n * cy - sy)
+        for n in range(n_max + 1)
     )
 
 
@@ -93,29 +187,23 @@ def graded_dim(datum: WeightDatum, degree: int) -> int:
     is the vector partition function of the six weights (Sturmfels, "On
     vector partition functions", JCTA 72, 1995).  P is finite because a
     strictly positive functional on the weights exists precisely when the
-    degree-0 invariants are trivial.  Unreachable degrees count zero.
+    degree-0 invariants are trivial.  Unreachable degrees count zero.  The
+    answer is the last entry of the memoised table up to this degree.
     """
     if degree < 0:
         raise ValueError("degree must be nonnegative")
-    ws = datum.weights()
-    f = strictly_separates(ws)
-    if f is None:
-        raise ValueError(
-            "graded dimensions are finite only when the degree-0 invariants are "
-            "trivial (all weights nonzero and spanning a cone with apex); "
-            "this datum admits a nonconstant invariant monomial"
-        )
-    t = (degree * datum.c[0], degree * datum.c[1])
-    a1, b1 = datum.a[0], datum.b[0]
-    rest = (t[0] - a1[0] - b1[0], t[1] - a1[1] - b1[1])
-    return _exponent_count(ws, f, t) - _exponent_count(ws, f, rest)
+    return _table(datum, degree)[degree]
 
 
 def hilbert_table(datum: WeightDatum, n_max: int) -> list[int]:
-    """Graded dimensions for degrees 0..n_max inclusive."""
+    """Graded dimensions for degrees 0..n_max inclusive.
+
+    Raises ValueError when the table's work bound exceeds MAX_TABLE_WORK.
+    """
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
-    return [graded_dim(datum, n) for n in range(n_max + 1)]
+    graded_dim(datum, n_max)  # fills the cache entry copied out below
+    return list(_table(datum, n_max))
 
 
 def find_invariant_monomial(datum: WeightDatum) -> Monomial | None:

@@ -19,6 +19,7 @@ import conestab
 from conestab import cli
 from conestab.cli import SUITE_NAMES, build_analysis_report, canonical_json, main
 from conestab.cones import Cone2
+from conestab.graded import MAX_TABLE_WORK
 from conestab.stability import WeightDatum, flag_datum, r0_is_trivial, weights_from_biquotient
 from conestab.svg import fan_svg
 from conestab.verify import VERIFY_SUITES
@@ -302,6 +303,17 @@ class TestHilbertCommand:
         assert code == 2
         assert "witness z1" in err
 
+    @pytest.mark.parametrize("command", ["hilbert", "analyze"])
+    def test_work_past_cap_exits_2_naming_the_bound(self, capsys, flag_config, command):
+        code, out, err = run_cli(capsys, command, flag_config, "--nmax", "300")
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: this Hilbert table may take 362,403 DP states and walk-back steps, "
+            f"past the cap MAX_TABLE_WORK = {MAX_TABLE_WORK:,}\n"
+        )
+        code, _, err = run_cli(capsys, command, flag_config, "--nmax", str(10**30))
+        assert code == 2 and "may take over 2^" in err
+
 
 class TestBiquotientCommand:
     def test_known_example(self, capsys, tmp_path):
@@ -410,6 +422,13 @@ SUMS_PAST_DIGIT_LIMIT = {
     "B": [[NINES_4300, 0], [0, 1], [0, 0]],
     "C": [1, 1],
 }
+# strictly_separates gives f = (1, 10^400) here, so the DP's triangle holds
+# about 2 * 10^400 points.
+HUGE_A1_TABLE = {
+    "A": [[10**400, 0], [1, 0], [1, 0]],
+    "B": [[0, 1], [0, 1], [0, 1]],
+    "C": [1, 1],
+}
 
 
 def run_module(*argv):
@@ -419,6 +438,7 @@ def run_module(*argv):
         capture_output=True,
         text=True,
         env=env,
+        timeout=60,
     )
 
 
@@ -443,6 +463,7 @@ class TestConfigErrors:
             (["fan-svg", "--shade"], huge_weight_config_bytes([BEYOND_DOUBLE, 0])),
             (["biquotient"], json.dumps(DERIVED_PAST_DIGIT_LIMIT).encode()),
             (["analyze"], json.dumps(SUMS_PAST_DIGIT_LIMIT).encode()),
+            (["hilbert", "--no-constraint", "--nmax", "1"], json.dumps(HUGE_A1_TABLE).encode()),
         ],
         ids=[
             "non-utf8",
@@ -462,6 +483,7 @@ class TestConfigErrors:
             "fan-svg-shade-weight-beyond-double",
             "biquotient-derived-4301-digit-weight",
             "analyze-4301-digit-weight-sum",
+            "hilbert-work-past-cap",
         ],
     )
     def test_bad_config_exits_2_without_traceback(self, tmp_path, argv, content):
@@ -516,20 +538,36 @@ def hostile_config_text(draw):
     return json.dumps(doc)
 
 
-# hilbert and --nmax are left out: graded dimensions have no work cap yet
-_FUZZ_ARGV = st.sampled_from(
-    [
-        ["analyze"],
-        ["analyze", "--json"],
-        ["analyze", "--no-constraint", "--json"],
-        ["biquotient"],
-        ["biquotient", "--json"],
-        ["moment"],
-        ["moment", "--json"],
-        ["moment", "--no-constraint", "--json"],
-        ["fan-svg", "--no-constraint"],
-        ["fan-svg", "--shade", "--no-constraint"],
-    ]
+_PLAIN_ARGV = [
+    ["analyze"],
+    ["analyze", "--json"],
+    ["analyze", "--no-constraint", "--json"],
+    ["biquotient"],
+    ["biquotient", "--json"],
+    ["moment"],
+    ["moment", "--json"],
+    ["moment", "--no-constraint", "--json"],
+    ["fan-svg", "--no-constraint"],
+    ["fan-svg", "--shade", "--no-constraint"],
+    ["hilbert"],
+    ["hilbert", "--json"],
+    ["hilbert", "--no-constraint", "--json"],
+]
+_NMAX_ARGV = [
+    ["hilbert"],
+    ["hilbert", "--no-constraint", "--json"],
+    ["analyze", "--json"],
+    ["analyze", "--no-constraint"],
+    ["biquotient"],
+    ["biquotient", "--json"],
+]
+# small degrees, and degrees whose table alone is past the work cap
+_NMAX = st.one_of(st.integers(0, 8), st.sampled_from([MAX_TABLE_WORK, 2**63, 10**30]))
+_FUZZ_ARGV = st.one_of(
+    st.sampled_from(_PLAIN_ARGV),
+    st.tuples(st.sampled_from(_NMAX_ARGV), _NMAX).map(
+        lambda pair: [*pair[0], "--nmax", str(pair[1])]
+    ),
 )
 
 

@@ -5,8 +5,15 @@ from itertools import product
 
 import pytest
 
-from conestab.cones import strictly_separates
-from conestab.graded import Monomial, find_invariant_monomial, graded_dim, hilbert_table
+from conestab import graded
+from conestab.cones import Cone2, dot, strictly_separates
+from conestab.graded import (
+    MAX_TABLE_WORK,
+    Monomial,
+    find_invariant_monomial,
+    graded_dim,
+    hilbert_table,
+)
 from conestab.stability import WeightDatum, flag_datum, r0_is_trivial
 from conftest import scan_strict_separator
 
@@ -131,10 +138,181 @@ class TestHilbertTable:
         assert hilbert_table(flag_datum(), 3) == [1, 8, 27, 64]
         assert hilbert_table(flag_datum(), 0) == [1]
         assert hilbert_table(flag_datum(), 30) == [(n + 1) ** 3 for n in range(31)]
+        assert hilbert_table(flag_datum(), 40) == [(n + 1) ** 3 for n in range(41)]
 
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             hilbert_table(flag_datum(), -1)
+
+
+def trivial_data(rng, count):
+    """r0-trivial data at bounds 2 and 3, each followed by variants equal to
+    it except for c, for the constraint flag, or for a_1 + b_1 (a_1 and a_2
+    swapped: the same six weights, another relation)."""
+    data = []
+    while len(data) < count:
+        d = random_test_datum(rng, bound=rng.choice([2, 3]), constrained=rng.random() < 0.5)
+        if not r0_is_trivial(d):
+            continue
+        data.append(d)
+        c = (d.c[0] + 1, d.c[1]) if d.c != (-1, 0) else (0, 1)
+        data.append(WeightDatum(a=d.a, b=d.b, c=c, constrained=d.constrained))
+        if d.constrained:
+            data.append(WeightDatum(a=d.a, b=d.b, c=d.c, constrained=False))
+        if d.a[0] != d.a[1]:
+            a = (d.a[1], d.a[0], d.a[2])
+            data.append(WeightDatum(a=a, b=d.b, c=d.c, constrained=False))
+    return data
+
+
+class TestTableMemo:
+    """graded_dim and hilbert_table read a per-(datum, n_max) table cache;
+    their answers must not depend on what the cache holds."""
+
+    NMAX = 5
+
+    def test_dims_do_not_depend_on_cache_state(self):
+        rng = random.Random(4242)
+        data = trivial_data(rng, 60)
+        assert len(set(data)) == len(data) > 3 * graded._TABLE_CACHE_SIZE
+        expected = []
+        for d in data:
+            graded._table.cache_clear()
+            expected.append(hilbert_table(d, self.NMAX))
+        for d, dims in zip(data[:12], expected):
+            for n in range(3):
+                assert dims[n] == brute_force_dim(d, n), (d, n)
+
+        # each datum's queries are spread over a window of other data, with
+        # degrees in mixed order, so lookups mix hits, misses and evictions
+        queries = sorted(
+            (
+                (i, rng.randint(0, self.NMAX), rng.random() < 0.5)
+                for i in range(len(data))
+                for _ in range(6)
+            ),
+            key=lambda q: q[0] + rng.randint(0, 30),
+        )
+        hits = misses = 0
+        graded._table.cache_clear()
+        for step, (i, n, whole) in enumerate(queries, start=1):
+            d, dims = data[i], expected[i]
+            if whole:
+                assert hilbert_table(d, n) == dims[: n + 1], (d, n)
+            else:
+                assert graded_dim(d, n) == dims[n], (d, n)
+            if step % 97 == 0 or step == len(queries):
+                info = graded._table.cache_info()
+                hits, misses = hits + info.hits, misses + info.misses
+                graded._table.cache_clear()
+        # a hilbert_table call hits the entry its graded_dim call just filled
+        assert hits > sum(whole for _, _, whole in queries) and misses > len(data)
+
+        for d, dims in zip(data, expected):
+            for n in range(self.NMAX + 1):
+                assert graded_dim(d, n) == hilbert_table(d, self.NMAX)[n] == dims[n], (d, n)
+
+    def test_returned_lists_are_fresh(self):
+        d = flag_datum()
+        dims = hilbert_table(d, 4)
+        dims[1] = -1
+        dims.append(0)
+        assert hilbert_table(d, 4) == [1, 8, 27, 64, 125]
+        assert graded_dim(d, 4) == 125
+
+    def test_one_separator_per_table(self, monkeypatch):
+        calls = []
+
+        def counted(ws):
+            calls.append(ws)
+            return strictly_separates(ws)
+
+        monkeypatch.setattr(graded, "strictly_separates", counted)
+        graded._table.cache_clear()
+        assert hilbert_table(flag_datum(), 12) == [(n + 1) ** 3 for n in range(13)]
+        assert len(calls) == 1
+
+
+def dp_states(ws, f, budget):
+    """Every nonnegative integer combination of the weights with f-value at
+    most the budget: a superset of the points the DP tabulates."""
+    seen, todo = {(0, 0)}, [(0, 0)]
+    while todo:
+        x, y = todo.pop()
+        for w in ws:
+            p = (x + w[0], y + w[1])
+            if dot(f, p) <= budget and p not in seen:
+                seen.add(p)
+                todo.append(p)
+    return seen
+
+
+def walk_steps(d, f, n_max):
+    """Points visited walking the last weight back from every target."""
+    step = dot(f, d.weights()[-1])
+    s = (d.a[0][0] + d.b[0][0], d.a[0][1] + d.b[0][1])
+    total = 0
+    for n in range(n_max + 1):
+        for t in ((n * d.c[0], n * d.c[1]), (n * d.c[0] - s[0], n * d.c[1] - s[1])):
+            total += max(0, dot(f, t) // step + 1)
+    return total
+
+
+class TestWorkBound:
+    def test_bounds_the_states_and_walks_on_random_data(self):
+        rng = random.Random(5150)
+        checked = boxed = 0
+        while checked < 200:
+            d = random_test_datum(rng, bound=rng.choice([2, 3, 4]), constrained=rng.random() < 0.5)
+            if not r0_is_trivial(d):
+                continue
+            ws, n_max = d.weights(), rng.randint(1, 6)
+            f = strictly_separates(ws)
+            budget = n_max * dot(f, d.c)
+            if budget <= 0:
+                continue
+            checked += 1
+            bound = graded._work_bound(ws, f, budget, n_max)
+            states = dp_states(ws, f, budget)
+            assert bound >= len(states) + walk_steps(d, f, n_max), (d, n_max)
+            # every lattice point of the triangle, counted in its bounding box
+            reach = max(budget * abs(x) // dot(f, w) for w in ws for x in w)
+            if reach <= 40:
+                boxed += 1
+                cone = Cone2(ws)
+                lattice = sum(
+                    1
+                    for x in range(-reach, reach + 1)
+                    for y in range(-reach, reach + 1)
+                    if dot(f, (x, y)) <= budget and cone.contains((x, y))
+                )
+                assert lattice >= len(states)
+                assert bound >= lattice + walk_steps(d, f, n_max), (d, n_max)
+        assert boxed >= 20
+
+    def test_flag_bound_and_cap(self):
+        d = flag_datum()
+        f = strictly_separates(d.weights())
+        # 41 * 82 / 2 = 3,321 states; the bound counts 3,361, plus 3,362 walk steps
+        assert graded._work_bound(d.weights(), f, 80, 40) == 6723
+        assert len(dp_states(d.weights(), f, 80)) == 3321
+        assert 20 * 6723 < MAX_TABLE_WORK
+
+    def test_past_the_cap_raises_before_any_loop(self):
+        d = WeightDatum(
+            a=((10**400, 0), (1, 0), (1, 0)),
+            b=((0, 1), (0, 1), (0, 1)),
+            c=(1, 1),
+            constrained=False,
+        )
+        with pytest.raises(ValueError, match="MAX_TABLE_WORK"):
+            hilbert_table(d, 1)
+        with pytest.raises(ValueError, match="over 2\\^"):
+            hilbert_table(flag_datum(), 10**30)
+        unreachable = WeightDatum(a=((1, 0),) * 3, b=((0, 1),) * 3, c=(-1, -1))
+        assert hilbert_table(unreachable, MAX_TABLE_WORK - 1)[:2] == [1, 0]
+        with pytest.raises(ValueError, match="250,000"):
+            hilbert_table(unreachable, MAX_TABLE_WORK)
 
 
 class TestFindInvariantMonomial:
