@@ -293,12 +293,12 @@ class TestWorkBound:
     def test_flag_bound_and_cap(self):
         d = flag_datum()
         f = strictly_separates(d.weights())
-        # 41 * 82 / 2 = 3,321 states; the bound counts 3,361, plus 3,362 walk steps
+        # 81 * 82 / 2 = 3,321 states; the bound counts 3,361, plus 3,362 walk steps
         assert graded._work_bound(d.weights(), f, 80, 40) == 6723
         assert len(dp_states(d.weights(), f, 80)) == 3321
         assert 20 * 6723 < MAX_TABLE_WORK
 
-    def test_past_the_cap_raises_before_any_loop(self):
+    def test_past_the_cap_raises(self):
         d = WeightDatum(
             a=((10**400, 0), (1, 0), (1, 0)),
             b=((0, 1), (0, 1), (0, 1)),
