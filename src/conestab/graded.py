@@ -62,7 +62,8 @@ class Monomial:
 
 # A Hilbert table's work is bounded before its DP starts (``_work_bound``),
 # and a table whose bound exceeds this cap is refused with a ValueError.
-# The flag table to degree 40 is bounded by 6,723 steps, and every table
+# The flag table to degree 40 is bounded by 6,723 steps, as is the flag
+# with every weight and C scaled by any factor, and every table
 # the tests, the demos and the benchmark ask for stays below 10,000.  Near
 # the cap a table took 0.4-1.1 s and under 100 MB on a 2-core Xeon.
 MAX_TABLE_WORK = 250_000
@@ -73,36 +74,67 @@ MAX_TABLE_WORK = 250_000
 _TABLE_CACHE_SIZE = 16
 
 
+def _lattice_basis(ws: tuple[Vec2, ...]) -> tuple[Vec2, Vec2]:
+    """A basis (e, (0, h)) of the lattice the weights span, with e_x >= 0.
+
+    Euclid runs on the first coordinates of e and each weight in turn,
+    carrying whole vectors, so every step is a unimodular change of the
+    pair; the partner left with first coordinate 0 folds into h, the gcd
+    of such second coordinates.  e_y is then reduced into [-h/2, h/2].
+    The lattice has index e_x h in Z^2, and rank below 2 when that is 0.
+    """
+    e, h = ZERO, 0
+    for w in ws:
+        while w[0]:
+            q = e[0] // w[0]
+            e, w = w, (e[0] - q * w[0], e[1] - q * w[1])
+        h = gcd(h, w[1])
+    if e[0] < 0:
+        e = (-e[0], -e[1])
+    if h:
+        r = e[1] % h
+        e = (e[0], r - h if 2 * r > h else r)
+    return e, (0, h)
+
+
 def _work_bound(ws: tuple[Vec2, ...], f: Vec2, budget: int, n_max: int) -> int:
     """Upper bound on the DP states plus the walk-back steps of one table.
 
-    The states are lattice points of the triangle {x in cone(ws) : f.x <=
-    budget}, whose vertices are 0 and the points p, q where the cone's two
-    extreme rays meet the line f.x = budget.  A convex set K holds at most
-    area(K) + perimeter(K) / 2 + 1 lattice points: by Pick's theorem the
-    hull H of those points holds area(H) + b / 2 + 1 of them, its b
-    boundary points number at most its perimeter, and H, a convex subset
-    of K, has no larger area or perimeter (a segment or a point included).
-    The L1 perimeter used here is no shorter than the Euclidean one, and
-    the sum is taken in integers, scaled by a common denominator d.
-    Walking the last weight l back from a target t visits floor(f.t / f.l)
-    + 1 points; the 2 (n_max + 1) targets have f.t <= n f.c at degree n.
+    The states are points of the lattice L that the weights span, inside
+    the triangle K = {x in cone(ws) : f.x <= budget}, whose vertices are 0
+    and the points p, q where the cone's two extreme rays meet the line
+    f.x = budget.  For a basis e1, e2 of L, of index D in Z^2, the
+    half-open cells x + {s e1 + t e2 : 0 <= s, t < 1} of the points x of L
+    in K are disjoint, each of area D, and lie in K + [0, e1] + [0, e2],
+    whose area is area(K) + w1 + w2 + D, where wi is the spread of
+    cross(ei, .) over K.  So L holds at most (area(K) + w1 + w2) / D + 1
+    points of K; for L = Z^2, w1 + w2 is half K's L1 perimeter.  When the
+    weights lie on one ray, L is spanned by one vector g and holds at most
+    budget / f.g + 1 points of K.  The sum is taken in integers, scaled by
+    a common denominator.  Walking the last weight l back from a target t
+    visits floor(f.t / f.l) + 1 points; the 2 (n_max + 1) targets have
+    f.t <= n f.c at degree n.
     """
     # the extreme rays u, v: every weight lies counterclockwise of u, clockwise of v
     u = next(w for w in ws if all(cross(w, x) >= 0 for x in ws))
     v = next(w for w in ws if all(cross(x, w) >= 0 for x in ws))
     fu, fv, fl = dot(f, u), dot(f, v), dot(f, ws[-1])
-    # p = budget u / f.u and q = budget v / f.v; every term is scaled by d
     d = 2 * fu * fv * fl
-    area = budget * budget * abs(cross(u, v)) * fl
-    half_perimeter = budget * fl * (
-        fv * (abs(u[0]) + abs(u[1]))
-        + fu * (abs(v[0]) + abs(v[1]))
-        + abs(fv * u[0] - fu * v[0])
-        + abs(fv * u[1] - fu * v[1])
-    )
     walks = (n_max + 1) * (2 * d + 2 * fu * fv * budget)
-    return (area + half_perimeter + d + walks) // d
+    e1, e2 = _lattice_basis(ws)
+    index = e1[0] * e2[1]
+    if index == 0:
+        fg = abs(dot(f, e1 if e1 != ZERO else e2))
+        return (budget * d + fg * (d + walks)) // (fg * d)
+    # f.u f.v p and f.u f.v q; area(K) and the spreads are scaled by d
+    p = (budget * fv * u[0], budget * fv * u[1])
+    q = (budget * fu * v[0], budget * fu * v[1])
+    area = budget * budget * abs(cross(u, v)) * fl
+    spreads = 0
+    for e in (e1, e2):
+        ep, eq = cross(e, p), cross(e, q)
+        spreads += max(0, ep, eq) - min(0, ep, eq)
+    return (area + 2 * fl * spreads + index * (d + walks)) // (index * d)
 
 
 def _magnitude(n: int) -> str:
@@ -188,7 +220,9 @@ def graded_dim(datum: WeightDatum, degree: int) -> int:
     vector partition functions", JCTA 72, 1995).  P is finite because a
     strictly positive functional on the weights exists precisely when the
     degree-0 invariants are trivial.  Unreachable degrees count zero.  The
-    answer is the last entry of the memoised table up to this degree.
+    answer is the last entry of the memoised table for degrees 0..degree,
+    so it raises ValueError when that table's work bound exceeds
+    MAX_TABLE_WORK.
     """
     if degree < 0:
         raise ValueError("degree must be nonnegative")

@@ -303,6 +303,21 @@ class TestHilbertCommand:
         assert code == 2
         assert "witness z1" in err
 
+    @pytest.mark.parametrize("scale", [10, 100])
+    def test_scaled_flag_table(self, capsys, tmp_path, scale):
+        # the scaled weights span a sparser lattice, so the work is bounded
+        # as for the flag itself
+        s = scale
+        cfg = write_config(
+            tmp_path, {"A": [[s, 0]] * 3, "B": [[0, s]] * 3, "C": [s, s]}
+        )
+        code, out, _ = run_cli(capsys, "hilbert", cfg, "--json")
+        assert code == 0
+        assert json.loads(out) == {"nmax": 6, "dims": [(n + 1) ** 3 for n in range(7)]}
+        code, out, _ = run_cli(capsys, "hilbert", cfg, "--nmax", "40", "--json")
+        assert code == 0
+        assert json.loads(out)["dims"] == [(n + 1) ** 3 for n in range(41)]
+
     @pytest.mark.parametrize("command", ["hilbert", "analyze"])
     def test_work_past_cap_exits_2_naming_the_bound(self, capsys, flag_config, command):
         code, out, err = run_cli(capsys, command, flag_config, "--nmax", "300")

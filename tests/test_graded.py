@@ -2,6 +2,7 @@
 
 import random
 from itertools import product
+from math import gcd
 
 import pytest
 
@@ -247,6 +248,24 @@ def dp_states(ws, f, budget):
     return seen
 
 
+def scaled(d, s):
+    """The datum with every weight and C multiplied by s."""
+    return WeightDatum(
+        a=tuple((s * x, s * y) for x, y in d.a),
+        b=tuple((s * x, s * y) for x, y in d.b),
+        c=(s * d.c[0], s * d.c[1]),
+        constrained=d.constrained,
+    )
+
+
+def in_lattice(basis, p):
+    """Whether p is an integer combination of the two basis vectors."""
+    e1, e2 = basis
+    det = e1[0] * e2[1] - e1[1] * e2[0]
+    s, t = p[0] * e2[1] - p[1] * e2[0], e1[0] * p[1] - e1[1] * p[0]
+    return s % det == 0 and t % det == 0
+
+
 def walk_steps(d, f, n_max):
     """Points visited walking the last weight back from every target."""
     step = dot(f, d.weights()[-1])
@@ -266,6 +285,8 @@ class TestWorkBound:
             d = random_test_datum(rng, bound=rng.choice([2, 3, 4]), constrained=rng.random() < 0.5)
             if not r0_is_trivial(d):
                 continue
+            # scaled data span sparser lattices, whose index the bound divides by
+            d = scaled(d, rng.choice([1, 1, 2, 3]))
             ws, n_max = d.weights(), rng.randint(1, 6)
             f = strictly_separates(ws)
             budget = n_max * dot(f, d.c)
@@ -275,16 +296,19 @@ class TestWorkBound:
             bound = graded._work_bound(ws, f, budget, n_max)
             states = dp_states(ws, f, budget)
             assert bound >= len(states) + walk_steps(d, f, n_max), (d, n_max)
-            # every lattice point of the triangle, counted in its bounding box
+            # every point of the weights' lattice in the triangle, counted
+            # in its bounding box
             reach = max(budget * abs(x) // dot(f, w) for w in ws for x in w)
             if reach <= 40:
                 boxed += 1
-                cone = Cone2(ws)
+                cone, basis = Cone2(ws), graded._lattice_basis(ws)
                 lattice = sum(
                     1
                     for x in range(-reach, reach + 1)
                     for y in range(-reach, reach + 1)
-                    if dot(f, (x, y)) <= budget and cone.contains((x, y))
+                    if dot(f, (x, y)) <= budget
+                    and cone.contains((x, y))
+                    and in_lattice(basis, (x, y))
                 )
                 assert lattice >= len(states)
                 assert bound >= lattice + walk_steps(d, f, n_max), (d, n_max)
@@ -297,6 +321,47 @@ class TestWorkBound:
         assert graded._work_bound(d.weights(), f, 80, 40) == 6723
         assert len(dp_states(d.weights(), f, 80)) == 3321
         assert 20 * 6723 < MAX_TABLE_WORK
+
+    def test_lattice_basis_spans_the_weights(self):
+        rng = random.Random(2718)
+        for _ in range(300):
+            d = scaled(random_test_datum(rng, bound=rng.choice([2, 4, 9])), rng.randint(1, 12))
+            ws = d.weights()
+            e1, e2 = graded._lattice_basis(ws)
+            index = e1[0] * e2[1]
+            minors = 0
+            for i, v in enumerate(ws):
+                for w in ws[i + 1 :]:
+                    minors = gcd(minors, v[0] * w[1] - v[1] * w[0])
+            # a basis of a lattice holding every weight, with the weights'
+            # index, spans exactly the weights' lattice
+            assert index == minors, d
+            if index:
+                assert all(in_lattice((e1, e2), w) for w in ws), d
+
+    def test_scaled_flag_is_bounded_like_the_flag(self):
+        for s in (1, 10, 100):
+            d = scaled(flag_datum(), s)
+            f = strictly_separates(d.weights())
+            for n_max, bound in ((6, 195), (40, 6723)):
+                budget = n_max * dot(f, d.c)
+                assert graded._work_bound(d.weights(), f, budget, n_max) == bound, (s, n_max)
+                graded._table.cache_clear()
+                assert hilbert_table(d, n_max) == [(n + 1) ** 3 for n in range(n_max + 1)]
+
+    def test_weights_on_one_ray(self):
+        d = WeightDatum(a=((1, 0),) * 3, b=((2, 0),) * 3, c=(3, 0))
+        dims = [brute_force_dim(d, n) for n in range(4)]
+        assert dims == [1, 18, 100, 315]
+        for s in (1, 100):
+            ds = scaled(d, s)
+            ws, f = ds.weights(), strictly_separates(ds.weights())
+            assert graded._lattice_basis(ws) == ((s, 0), (0, 0))
+            assert hilbert_table(ds, 3) == dims
+            budget = 6 * dot(f, ds.c)
+            bound = graded._work_bound(ws, f, budget, 6)
+            assert bound == 96
+            assert bound >= len(dp_states(ws, f, budget)) + walk_steps(ds, f, 6)
 
     def test_past_the_cap_raises(self):
         d = WeightDatum(
