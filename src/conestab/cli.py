@@ -271,7 +271,7 @@ def _infinite_dims_error(datum: WeightDatum) -> InputError:
 def _hilbert_table(datum: WeightDatum, nmax: int) -> list[int]:
     try:
         return hilbert_table(datum, nmax)
-    except ValueError as e:  # the table's work bound is past graded.MAX_TABLE_WORK
+    except ValueError as e:  # the table needs more work than graded.MAX_TABLE_WORK
         raise InputError(str(e)) from None
 
 

@@ -156,9 +156,7 @@ class Cone2:
     """Convex cone in the plane spanned by integer generators.
 
     The generator list is kept verbatim (duplicates and zero vectors
-    included); all predicates are about the generated set.  Equality is set
-    equality of the cones, never equality of generator lists, so instances
-    are unhashable.
+    included); all predicates are about the generated set.
     """
 
     generators: tuple[Vec2, ...] = ()
@@ -166,15 +164,6 @@ class Cone2:
     def __post_init__(self):
         gens = tuple(as_vec2(g) for g in self.generators)
         object.__setattr__(self, "generators", gens)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Cone2):
-            return NotImplemented
-        return all(other.contains(g) for g in self.generators) and all(
-            self.contains(g) for g in other.generators
-        )
-
-    __hash__ = None  # set semantics are incompatible with hashing by fields
 
     def _nonzero(self) -> list[Vec2]:
         return [g for g in self.generators if g != ZERO]

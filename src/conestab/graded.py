@@ -7,8 +7,8 @@ vector-space basis of the quotient.  The dimension of the weight-t piece
 is therefore P(t) - P(t - a_1 - b_1), where P(t) is the vector partition
 function of the six weights: the number of exponent vectors of weight t.
 P is finite exactly when the degree-0 invariants are trivial.  One DP
-counts P at every degree of a table, and its work is bounded before it
-starts.
+counts P at every degree of a table, and its states and walk-back steps
+are counted against a fixed cap as it runs.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
 
-from conestab.cones import ZERO, Vec2, cross, dot, positive_relation, strictly_separates
+from conestab.cones import ZERO, Vec2, dot, positive_relation, strictly_separates
 from conestab.stability import WeightDatum
 
 
@@ -60,12 +60,13 @@ class Monomial:
         return "*".join(parts) if parts else "1"
 
 
-# A Hilbert table's work is bounded before its DP starts (``_work_bound``),
-# and a table whose bound exceeds this cap is refused with a ValueError.
-# The flag table to degree 40 is bounded by 6,723 steps, as is the flag
-# with every weight and C scaled by any factor, and every table
-# the tests, the demos and the benchmark ask for stays below 10,000.  Near
-# the cap a table took 0.4-1.1 s and under 100 MB on a 2-core Xeon.
+# A Hilbert table's work is its DP states plus its walk-back steps, counted
+# as the DP runs; a table whose count passes this cap is refused with a
+# ValueError.  The flag table to degree 40 counts 6,682, as does the flag
+# with every weight and C scaled by any factor, and every table the tests,
+# the demos and the benchmark ask for stays below 10,000.  Near the cap a
+# table took 0.4-1.1 s and under 100 MB on a 2-core Xeon, and a refused
+# table runs until its count passes the cap.
 MAX_TABLE_WORK = 250_000
 
 # Tables are memoised per (datum, n_max) in a small cache, like the
@@ -74,71 +75,11 @@ MAX_TABLE_WORK = 250_000
 _TABLE_CACHE_SIZE = 16
 
 
-def _lattice_basis(ws: tuple[Vec2, ...]) -> tuple[Vec2, Vec2]:
-    """A basis (e, (0, h)) of the lattice the weights span, with e_x >= 0.
-
-    Euclid runs on the first coordinates of e and each weight in turn,
-    carrying whole vectors, so every step is a unimodular change of the
-    pair; the partner left with first coordinate 0 folds into h, the gcd
-    of such second coordinates.  e_y is then reduced into [-h/2, h/2].
-    The lattice has index e_x h in Z^2, and rank below 2 when that is 0.
-    """
-    e, h = ZERO, 0
-    for w in ws:
-        while w[0]:
-            q = e[0] // w[0]
-            e, w = w, (e[0] - q * w[0], e[1] - q * w[1])
-        h = gcd(h, w[1])
-    if e[0] < 0:
-        e = (-e[0], -e[1])
-    if h:
-        r = e[1] % h
-        e = (e[0], r - h if 2 * r > h else r)
-    return e, (0, h)
-
-
-def _work_bound(ws: tuple[Vec2, ...], f: Vec2, budget: int, n_max: int) -> int:
-    """Upper bound on the DP states plus the walk-back steps of one table.
-
-    The states are points of the lattice L that the weights span, inside
-    the triangle K = {x in cone(ws) : f.x <= budget}, whose vertices are 0
-    and the points p, q where the cone's two extreme rays meet the line
-    f.x = budget.  For a basis e1, e2 of L, of index D in Z^2, the
-    half-open cells x + {s e1 + t e2 : 0 <= s, t < 1} of the points x of L
-    in K are disjoint, each of area D, and lie in K + [0, e1] + [0, e2],
-    whose area is area(K) + w1 + w2 + D, where wi is the spread of
-    cross(ei, .) over K.  So L holds at most (area(K) + w1 + w2) / D + 1
-    points of K; for L = Z^2, w1 + w2 is half K's L1 perimeter.  When the
-    weights lie on one ray, L is spanned by one vector g and holds at most
-    budget / f.g + 1 points of K.  The sum is taken in integers, scaled by
-    a common denominator.  Walking the last weight l back from a target t
-    visits floor(f.t / f.l) + 1 points; the 2 (n_max + 1) targets have
-    f.t <= n f.c at degree n.
-    """
-    # the extreme rays u, v: every weight lies counterclockwise of u, clockwise of v
-    u = next(w for w in ws if all(cross(w, x) >= 0 for x in ws))
-    v = next(w for w in ws if all(cross(x, w) >= 0 for x in ws))
-    fu, fv, fl = dot(f, u), dot(f, v), dot(f, ws[-1])
-    d = 2 * fu * fv * fl
-    walks = (n_max + 1) * (2 * d + 2 * fu * fv * budget)
-    e1, e2 = _lattice_basis(ws)
-    index = e1[0] * e2[1]
-    if index == 0:
-        fg = abs(dot(f, e1 if e1 != ZERO else e2))
-        return (budget * d + fg * (d + walks)) // (fg * d)
-    # f.u f.v p and f.u f.v q; area(K) and the spreads are scaled by d
-    p = (budget * fv * u[0], budget * fv * u[1])
-    q = (budget * fu * v[0], budget * fu * v[1])
-    area = budget * budget * abs(cross(u, v)) * fl
-    spreads = 0
-    for e in (e1, e2):
-        ep, eq = cross(e, p), cross(e, q)
-        spreads += max(0, ep, eq) - min(0, ep, eq)
-    return (area + 2 * fl * spreads + index * (d + walks)) // (index * d)
-
-
-def _magnitude(n: int) -> str:
-    return f"{n:,}" if n.bit_length() <= 64 else f"over 2^{n.bit_length() - 1}"
+def _past_cap() -> ValueError:
+    return ValueError(
+        f"this Hilbert table needs more than MAX_TABLE_WORK = {MAX_TABLE_WORK:,} "
+        "DP states and walk-back steps"
+    )
 
 
 @lru_cache(maxsize=_TABLE_CACHE_SIZE)
@@ -150,7 +91,9 @@ def _table(datum: WeightDatum, n_max: int) -> tuple[int, ...]:
     budget.  The partial sums over the first five weights are tabulated
     once under the budget as {point: count}; P(t) is then the sum of the
     counts at t, t - l, t - 2 l, ... for the last weight l, walked back
-    from t = n c and from t = n c - a_1 - b_1 at every degree n.
+    from t = n c and from t = n c - a_1 - b_1 at every degree n.  The
+    walk-back steps are counted before the DP and each new state as the DP
+    makes it; the moment the count passes MAX_TABLE_WORK, ValueError.
     """
     ws = datum.weights()
     f = strictly_separates(ws)
@@ -161,16 +104,18 @@ def _table(datum: WeightDatum, n_max: int) -> tuple[int, ...]:
             "this datum admits a nonconstant invariant monomial"
         )
     budget = n_max * dot(f, datum.c)
-    # with budget <= 0 only the constants are reachable
-    work = _work_bound(ws, f, budget, n_max) if budget > 0 else n_max + 1
-    if work > MAX_TABLE_WORK:
-        raise ValueError(
-            f"this Hilbert table may take {_magnitude(work)} DP states and walk-back "
-            f"steps, past the cap MAX_TABLE_WORK = {MAX_TABLE_WORK:,}"
-        )
-    if budget <= 0:
+    if budget <= 0:  # only the constants are reachable
+        if n_max + 1 > MAX_TABLE_WORK:
+            raise _past_cap()
         return (1,) + (0,) * n_max
     f0, f1 = f
+    lx, ly = ws[-1]
+    last = f0 * lx + f1 * ly
+    # the walk back from a target t visits floor(f.t / f.l) + 1 points, and
+    # the two targets of degree n have f.t <= n f.c
+    left = MAX_TABLE_WORK - (n_max + 1) * (2 * last + budget) // last
+    if left < 0:
+        raise _past_cap()
     counts = {ZERO: 1}
     for wx, wy in ws[:-1]:
         step = f0 * wx + f1 * wy
@@ -189,17 +134,18 @@ def _table(datum: WeightDatum, n_max: int) -> tuple[int, ...]:
                 y += wy
                 if (x, y) in counts:
                     break
+                left -= 1
+                if left < 0:
+                    raise _past_cap()
                 grown[x, y] = n
                 room -= step
         counts = grown
-    lx, ly = ws[-1]
-    step = f0 * lx + f1 * ly
 
     def partitions(x: int, y: int) -> int:
         # a negative f-value walks no steps
         return sum(
             counts.get((x - k * lx, y - k * ly), 0)
-            for k in range((f0 * x + f1 * y) // step + 1)
+            for k in range((f0 * x + f1 * y) // last + 1)
         )
 
     (cx, cy), (a1, b1) = datum.c, (datum.a[0], datum.b[0])
@@ -221,8 +167,8 @@ def graded_dim(datum: WeightDatum, degree: int) -> int:
     strictly positive functional on the weights exists precisely when the
     degree-0 invariants are trivial.  Unreachable degrees count zero.  The
     answer is the last entry of the memoised table for degrees 0..degree,
-    so it raises ValueError when that table's work bound exceeds
-    MAX_TABLE_WORK.
+    so it raises ValueError when that table needs more than MAX_TABLE_WORK
+    DP states and walk-back steps.
     """
     if degree < 0:
         raise ValueError("degree must be nonnegative")
@@ -232,7 +178,8 @@ def graded_dim(datum: WeightDatum, degree: int) -> int:
 def hilbert_table(datum: WeightDatum, n_max: int) -> list[int]:
     """Graded dimensions for degrees 0..n_max inclusive.
 
-    Raises ValueError when the table's work bound exceeds MAX_TABLE_WORK.
+    Raises ValueError when the table needs more than MAX_TABLE_WORK DP
+    states and walk-back steps.
     """
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")

@@ -242,17 +242,6 @@ class TestHullDim:
         assert (cone.linear_hull_dim() == 0) == trivial
 
 
-class TestConeEquality:
-    def test_set_equality_ignores_generator_lists(self):
-        assert Cone2(((1, 0), (0, 1))) == Cone2(((0, 1), (2, 0), (1, 1)))
-        assert Cone2(((1, 0),)) != Cone2(((1, 0), (0, 1)))
-        assert Cone2(((0, 0),)) == Cone2(())
-
-    def test_unhashable(self):
-        with pytest.raises(TypeError):
-            hash(Cone2(((1, 0),)))
-
-
 def test_perp_and_cross_conventions():
     assert perp((2, 3)) == (-3, 2)
     assert cross((1, 0), (0, 1)) == 1

@@ -2,12 +2,11 @@
 
 import random
 from itertools import product
-from math import gcd
 
 import pytest
 
 from conestab import graded
-from conestab.cones import Cone2, dot, strictly_separates
+from conestab.cones import dot, strictly_separates
 from conestab.graded import (
     MAX_TABLE_WORK,
     Monomial,
@@ -16,9 +15,7 @@ from conestab.graded import (
     hilbert_table,
 )
 from conestab.stability import WeightDatum, flag_datum, r0_is_trivial
-from conftest import scan_strict_separator
-
-from test_stability import random_test_datum
+from conftest import random_test_datum, scan_strict_separator
 
 
 def triangle(n):
@@ -236,7 +233,8 @@ class TestTableMemo:
 
 def dp_states(ws, f, budget):
     """Every nonnegative integer combination of the weights with f-value at
-    most the budget: a superset of the points the DP tabulates."""
+    most the budget: for the first five weights, the points the DP
+    tabulates."""
     seen, todo = {(0, 0)}, [(0, 0)]
     while todo:
         x, y = todo.pop()
@@ -258,110 +256,94 @@ def scaled(d, s):
     )
 
 
-def in_lattice(basis, p):
-    """Whether p is an integer combination of the two basis vectors."""
-    e1, e2 = basis
-    det = e1[0] * e2[1] - e1[1] * e2[0]
-    s, t = p[0] * e2[1] - p[1] * e2[0], e1[0] * p[1] - e1[1] * p[0]
-    return s % det == 0 and t % det == 0
+def counted_work(d, n_max):
+    """The work a table is charged: (n_max + 1)(2 + budget / f.l) walk-back
+    steps, floored, plus the DP's states other than the origin."""
+    ws = d.weights()
+    f = strictly_separates(ws)
+    budget = n_max * dot(f, d.c)
+    fl = dot(f, ws[-1])
+    return (n_max + 1) * (2 * fl + budget) // fl + len(dp_states(ws[:-1], f, budget)) - 1
 
 
-def walk_steps(d, f, n_max):
-    """Points visited walking the last weight back from every target."""
-    step = dot(f, d.weights()[-1])
-    s = (d.a[0][0] + d.b[0][0], d.a[0][1] + d.b[0][1])
-    total = 0
-    for n in range(n_max + 1):
-        for t in ((n * d.c[0], n * d.c[1]), (n * d.c[0] - s[0], n * d.c[1] - s[1])):
-            total += max(0, dot(f, t) // step + 1)
-    return total
+def table_at_exact_cap(monkeypatch, d, n_max, work):
+    """The table, computed with the cap at work; one below, it is refused."""
+    monkeypatch.setattr(graded, "MAX_TABLE_WORK", work - 1)
+    graded._table.cache_clear()
+    with pytest.raises(ValueError, match=f"needs more than MAX_TABLE_WORK = {work - 1:,} "):
+        hilbert_table(d, n_max)
+    monkeypatch.setattr(graded, "MAX_TABLE_WORK", work)
+    graded._table.cache_clear()
+    return hilbert_table(d, n_max)
+
+
+PAST_CAP = (
+    f"this Hilbert table needs more than MAX_TABLE_WORK = {MAX_TABLE_WORK:,} "
+    "DP states and walk-back steps"
+)
 
 
 class TestWorkBound:
-    def test_bounds_the_states_and_walks_on_random_data(self):
+    """A table's DP states and walk-back steps are counted against
+    MAX_TABLE_WORK as the DP runs."""
+
+    def test_bounds_the_states_and_walks_on_random_data(self, monkeypatch):
         rng = random.Random(5150)
-        checked = boxed = 0
-        while checked < 200:
+        checked = 0
+        while checked < 50:
             d = random_test_datum(rng, bound=rng.choice([2, 3, 4]), constrained=rng.random() < 0.5)
             if not r0_is_trivial(d):
                 continue
-            # scaled data span sparser lattices, whose index the bound divides by
             d = scaled(d, rng.choice([1, 1, 2, 3]))
-            ws, n_max = d.weights(), rng.randint(1, 6)
-            f = strictly_separates(ws)
-            budget = n_max * dot(f, d.c)
-            if budget <= 0:
+            n_max = rng.randint(1, 6)
+            if dot(strictly_separates(d.weights()), d.c) <= 0:
                 continue
             checked += 1
-            bound = graded._work_bound(ws, f, budget, n_max)
-            states = dp_states(ws, f, budget)
-            assert bound >= len(states) + walk_steps(d, f, n_max), (d, n_max)
-            # every point of the weights' lattice in the triangle, counted
-            # in its bounding box
-            reach = max(budget * abs(x) // dot(f, w) for w in ws for x in w)
-            if reach <= 40:
-                boxed += 1
-                cone, basis = Cone2(ws), graded._lattice_basis(ws)
-                lattice = sum(
-                    1
-                    for x in range(-reach, reach + 1)
-                    for y in range(-reach, reach + 1)
-                    if dot(f, (x, y)) <= budget
-                    and cone.contains((x, y))
-                    and in_lattice(basis, (x, y))
-                )
-                assert lattice >= len(states)
-                assert bound >= lattice + walk_steps(d, f, n_max), (d, n_max)
-        assert boxed >= 20
+            monkeypatch.undo()
+            graded._table.cache_clear()
+            dims = hilbert_table(d, n_max)
+            assert table_at_exact_cap(monkeypatch, d, n_max, counted_work(d, n_max)) == dims
 
-    def test_flag_bound_and_cap(self):
-        d = flag_datum()
-        f = strictly_separates(d.weights())
-        # 81 * 82 / 2 = 3,321 states; the bound counts 3,361, plus 3,362 walk steps
-        assert graded._work_bound(d.weights(), f, 80, 40) == 6723
-        assert len(dp_states(d.weights(), f, 80)) == 3321
-        assert 20 * 6723 < MAX_TABLE_WORK
+    def test_flag_bound_and_cap(self, monkeypatch):
+        # 81 * 82 / 2 = 3,321 states, 3,320 of them new, plus 41 * 82 walk steps
+        assert counted_work(flag_datum(), 40) == 3320 + 3362
+        assert table_at_exact_cap(monkeypatch, flag_datum(), 40, 6682) == [
+            (n + 1) ** 3 for n in range(41)
+        ]
+        assert 20 * 6682 < MAX_TABLE_WORK
 
-    def test_lattice_basis_spans_the_weights(self):
-        rng = random.Random(2718)
-        for _ in range(300):
-            d = scaled(random_test_datum(rng, bound=rng.choice([2, 4, 9])), rng.randint(1, 12))
-            ws = d.weights()
-            e1, e2 = graded._lattice_basis(ws)
-            index = e1[0] * e2[1]
-            minors = 0
-            for i, v in enumerate(ws):
-                for w in ws[i + 1 :]:
-                    minors = gcd(minors, v[0] * w[1] - v[1] * w[0])
-            # a basis of a lattice holding every weight, with the weights'
-            # index, spans exactly the weights' lattice
-            assert index == minors, d
-            if index:
-                assert all(in_lattice((e1, e2), w) for w in ws), d
-
-    def test_scaled_flag_is_bounded_like_the_flag(self):
+    def test_scaled_flag_is_bounded_like_the_flag(self, monkeypatch):
         for s in (1, 10, 100):
             d = scaled(flag_datum(), s)
-            f = strictly_separates(d.weights())
-            for n_max, bound in ((6, 195), (40, 6723)):
-                budget = n_max * dot(f, d.c)
-                assert graded._work_bound(d.weights(), f, budget, n_max) == bound, (s, n_max)
-                graded._table.cache_clear()
-                assert hilbert_table(d, n_max) == [(n + 1) ** 3 for n in range(n_max + 1)]
+            for n_max, work in ((6, 188), (40, 6682)):
+                assert counted_work(d, n_max) == work, (s, n_max)
+                assert table_at_exact_cap(monkeypatch, d, n_max, work) == [
+                    (n + 1) ** 3 for n in range(n_max + 1)
+                ]
 
-    def test_weights_on_one_ray(self):
+    def test_weights_on_one_ray(self, monkeypatch):
         d = WeightDatum(a=((1, 0),) * 3, b=((2, 0),) * 3, c=(3, 0))
         dims = [brute_force_dim(d, n) for n in range(4)]
         assert dims == [1, 18, 100, 315]
         for s in (1, 100):
             ds = scaled(d, s)
-            ws, f = ds.weights(), strictly_separates(ds.weights())
-            assert graded._lattice_basis(ws) == ((s, 0), (0, 0))
+            graded._table.cache_clear()
             assert hilbert_table(ds, 3) == dims
-            budget = 6 * dot(f, ds.c)
-            bound = graded._work_bound(ws, f, budget, 6)
-            assert bound == 96
-            assert bound >= len(dp_states(ws, f, budget)) + walk_steps(ds, f, 6)
+            # 18 new states along the ray, 7 * (2 + 18 / 2) walk steps
+            assert counted_work(ds, 6) == 18 + 77
+            assert table_at_exact_cap(monkeypatch, ds, 6, 95)[:4] == dims
+
+    def test_table_past_the_lattice_bound(self):
+        # the bound on lattice points this cap replaced was 327,448 here
+        d = WeightDatum(
+            a=((13, -6), (-24, -10), (29, 7)),
+            b=((2, -18), (39, -14), (-14, -31)),
+            c=(9, -25),
+            constrained=True,
+        )
+        graded._table.cache_clear()
+        assert hilbert_table(d, 6) == [1, 0, 0, 0, 0, 0, 1]
+        assert counted_work(d, 6) < MAX_TABLE_WORK
 
     def test_past_the_cap_raises(self):
         d = WeightDatum(
@@ -370,14 +352,17 @@ class TestWorkBound:
             c=(1, 1),
             constrained=False,
         )
-        with pytest.raises(ValueError, match="MAX_TABLE_WORK"):
+        with pytest.raises(ValueError) as e:
             hilbert_table(d, 1)
-        with pytest.raises(ValueError, match="over 2\\^"):
+        assert str(e.value) == PAST_CAP
+        with pytest.raises(ValueError) as e:
             hilbert_table(flag_datum(), 10**30)
+        assert str(e.value) == PAST_CAP
         unreachable = WeightDatum(a=((1, 0),) * 3, b=((0, 1),) * 3, c=(-1, -1))
         assert hilbert_table(unreachable, MAX_TABLE_WORK - 1)[:2] == [1, 0]
-        with pytest.raises(ValueError, match="250,000"):
+        with pytest.raises(ValueError) as e:
             hilbert_table(unreachable, MAX_TABLE_WORK)
+        assert str(e.value) == PAST_CAP
 
 
 class TestFindInvariantMonomial:
