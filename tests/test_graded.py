@@ -334,7 +334,7 @@ class TestWorkBound:
             assert table_at_exact_cap(monkeypatch, ds, 6, 95)[:4] == dims
 
     def test_table_past_the_lattice_bound(self):
-        # the bound on lattice points this cap replaced was 327,448 here
+        # 50,077 DP states, 50,076 of them new, and 58 walk steps
         d = WeightDatum(
             a=((13, -6), (-24, -10), (29, 7)),
             b=((2, -18), (39, -14), (-14, -31)),
@@ -343,7 +343,7 @@ class TestWorkBound:
         )
         graded._table.cache_clear()
         assert hilbert_table(d, 6) == [1, 0, 0, 0, 0, 0, 1]
-        assert counted_work(d, 6) < MAX_TABLE_WORK
+        assert counted_work(d, 6) == 50076 + 58 < MAX_TABLE_WORK
 
     def test_past_the_cap_raises(self):
         d = WeightDatum(
