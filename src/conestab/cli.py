@@ -24,14 +24,12 @@ import json
 import math
 import sys
 from dataclasses import dataclass
-from typing import NamedTuple
 
 from conestab.cones import ZERO, Cone2
-from conestab.graded import find_invariant_monomial, hilbert_table
+from conestab.graded import hilbert_table
 from conestab.stability import (
     ALL_PATTERNS,
     StabilityClass,
-    SupportPattern,
     WeightDatum,
     classify_by_cone,
     classify_by_one_ps,
@@ -129,6 +127,11 @@ def _to_int(value, name: str) -> int:
         try:
             return int(value, 10)
         except ValueError:
+            limit = sys.get_int_max_str_digits()
+            if limit and len(value) > limit:  # too long to echo
+                raise InputError(f"{name}: a string of {len(value)} characters is not a decimal"
+                                 f" integer within the {limit}-digit limit"
+                                 " sys.get_int_max_str_digits()") from None
             raise InputError(f"{name}: {value!r} is not a decimal integer") from None
     raise InputError(f"{name}: expected an integer or decimal string, got {value!r}")
 
@@ -168,13 +171,16 @@ def load_config(path: str) -> dict:
     return doc
 
 
+def _field(doc: dict, key: str):
+    """doc[key]; InputError when the config lacks that required field."""
+    if key not in doc:
+        raise InputError(f"config is missing required field {key!r}")
+    return doc[key]
+
+
 def datum_from_config(doc: dict, enforce_constraint: bool) -> WeightDatum:
-    for key in ("A", "B", "C"):
-        if key not in doc:
-            raise InputError(f"config is missing required field {key!r}")
-    a = _to_vec2_triple(doc["A"], "A")
-    b = _to_vec2_triple(doc["B"], "B")
-    c = _to_vec2(doc["C"], "C")
+    a, b, c = [_field(doc, key) for key in ("A", "B", "C")]  # all present before any parse
+    a, b, c = _to_vec2_triple(a, "A"), _to_vec2_triple(b, "B"), _to_vec2(c, "C")
     try:
         return WeightDatum(a=a, b=b, c=c, constrained=enforce_constraint)
     except ValueError as e:
@@ -182,9 +188,7 @@ def datum_from_config(doc: dict, enforce_constraint: bool) -> WeightDatum:
 
 
 def complex3_from_config(doc: dict, key: str) -> tuple[complex, complex, complex]:
-    if key not in doc:
-        raise InputError(f"config is missing required field {key!r}")
-    value = doc[key]
+    value = _field(doc, key)
     if not isinstance(value, (list, tuple)) or len(value) != 3:
         raise InputError(f"{key}: expected three [re, im] pairs")
     out = []
@@ -204,16 +208,6 @@ def complex3_from_config(doc: dict, key: str) -> tuple[complex, complex, complex
 # ---------------------------------------------------------------- report
 
 
-class PatternRow(NamedTuple):
-    pattern: SupportPattern
-    z_support: tuple[int, ...]  # sorted
-    w_support: tuple[int, ...]
-    realizable: bool
-    in_m: bool
-    class_hm: str
-    class_cone: str
-
-
 # the columns of a row that depend only on the pattern, never on the datum
 _PATTERN_COLUMNS = tuple(
     (p, tuple(sorted(p.z_support)), tuple(sorted(p.w_support)),
@@ -229,7 +223,7 @@ class AnalysisReport:
     star: bool
     star_prime: bool
     r0_trivial: bool
-    pattern_table: list[PatternRow]
+    verdicts: list[StabilityClass]  # per pattern of ALL_PATTERNS; both classifiers agree
     hilbert: list[int] | None = None
 
     def as_dict(self) -> dict:
@@ -247,31 +241,23 @@ class AnalysisReport:
             "r0_trivial": self.r0_trivial,
             "pattern_table": [
                 {
-                    "z_support": list(row.z_support),
-                    "w_support": list(row.w_support),
-                    "realizable": row.realizable,
-                    "in_M": row.in_m,
-                    "class_hm": row.class_hm,
-                    "class_cone": row.class_cone,
+                    "z_support": list(z),
+                    "w_support": list(w),
+                    "realizable": realizable,
+                    "in_M": in_m,
+                    "class_hm": verdict.value,
+                    "class_cone": verdict.value,
                 }
-                for row in self.pattern_table
+                for (_, z, w, realizable, in_m), verdict in zip(_PATTERN_COLUMNS, self.verdicts)
             ],
             "hilbert": self.hilbert,
         }
 
 
-def _infinite_dims_error(datum: WeightDatum) -> InputError:
-    witness = find_invariant_monomial(datum)
-    return InputError(
-        "graded dimensions are infinite: degree-0 invariants are "
-        f"nontrivial, witness {witness}"
-    )
-
-
 def _hilbert_table(datum: WeightDatum, nmax: int) -> list[int]:
     try:
         return hilbert_table(datum, nmax)
-    except ValueError as e:  # the table needs more work than graded.MAX_TABLE_WORK
+    except ValueError as e:  # infinite dimensions, or work past graded.MAX_TABLE_WORK
         raise InputError(str(e)) from None
 
 
@@ -285,34 +271,29 @@ def build_analysis_report(datum: WeightDatum, nmax: int | None = None) -> Analys
             f"fan condition forms disagree: interior={star} membership={star_prime} "
             f"for {datum!r}"
         )
-    rows = []
-    for columns in _PATTERN_COLUMNS:
-        p = columns[0]
+    verdicts = []
+    for p in ALL_PATTERNS:
         hm = classify_by_one_ps(datum, p)
         cone = classify_by_cone(datum, p)
         if hm is not cone:
             raise InternalError(
                 f"classifiers disagree on pattern {p}: {hm} vs {cone} for {datum!r}"
             )
-        rows.append(PatternRow(*columns, hm.value, cone.value))
+        verdicts.append(hm)
     trivial = r0_is_trivial(datum)
     # Both answers come from positive_relation: over all six weights for
     # r0, over the nonzero ones for the apex, so they differ only when a
     # weight is zero.
     ws = datum.weights()
     apex = trivial or (ZERO in ws and Cone2(ws).has_apex())
-    hilbert = None
-    if nmax is not None:
-        if not trivial:
-            raise _infinite_dims_error(datum)
-        hilbert = _hilbert_table(datum, nmax)
+    hilbert = None if nmax is None else _hilbert_table(datum, nmax)
     return AnalysisReport(
         datum=datum,
         apex=apex,
         star=star,
         star_prime=star_prime,
         r0_trivial=trivial,
-        pattern_table=rows,
+        verdicts=verdicts,
         hilbert=hilbert,
     )
 
@@ -340,11 +321,10 @@ def render_report_text(report: AnalysisReport, extra_lines: list[str] | None = N
     if extra_lines:
         lines.extend(extra_lines)
     lines.append("pattern table:")
-    for row in report.pattern_table:
+    for (p, _, _, realizable, in_m), verdict in zip(_PATTERN_COLUMNS, report.verdicts):
         lines.append(
-            f"  {str(row.pattern):12s} realizable={_yesno(row.realizable):3s} "
-            f"in_M={_yesno(row.in_m):3s} hm={row.class_hm:20s} "
-            f"cone={row.class_cone}"
+            f"  {str(p):12s} realizable={_yesno(realizable):3s} in_M={_yesno(in_m):3s} "
+            f"hm={verdict.value:20s} cone={verdict.value}"
         )
     if report.hilbert is not None:
         lines.append(f"graded dimensions 0..{len(report.hilbert) - 1}: {report.hilbert}")
@@ -425,8 +405,6 @@ def cmd_fan_svg(args) -> int:
 
 def cmd_hilbert(args) -> int:
     _, datum = _load_datum(args)
-    if not r0_is_trivial(datum):
-        raise _infinite_dims_error(datum)
     dims = _hilbert_table(datum, args.nmax)
     lines = ["   n  dim"] + [f"{n:4d}  {dim}" for n, dim in enumerate(dims)]
     _emit(args, {"nmax": args.nmax, "dims": dims}, "\n".join(lines) + "\n")
@@ -447,11 +425,8 @@ def _check_printable(datum: WeightDatum) -> None:
 
 def cmd_biquotient(args) -> int:
     doc = load_config(args.config)
-    for key in ("wL", "wR"):
-        if key not in doc:
-            raise InputError(f"config is missing required field {key!r}")
-    w_left = _to_vec2_triple(doc["wL"], "wL")
-    w_right = _to_vec2_triple(doc["wR"], "wR")
+    w_left, w_right = [_field(doc, key) for key in ("wL", "wR")]
+    w_left, w_right = _to_vec2_triple(w_left, "wL"), _to_vec2_triple(w_right, "wR")
     try:
         datum = weights_from_biquotient(w_left, w_right)
     except ValueError as e:

@@ -13,6 +13,7 @@ are counted against a fixed cap as it runs.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
@@ -94,15 +95,20 @@ def _table(datum: WeightDatum, n_max: int) -> tuple[int, ...]:
     from t = n c and from t = n c - a_1 - b_1 at every degree n.  The
     walk-back steps are counted before the DP and each new state as the DP
     makes it; the moment the count passes MAX_TABLE_WORK, ValueError.
+    Without f the degree-0 invariants are nontrivial: ValueError naming a
+    witness.
     """
     ws = datum.weights()
     f = strictly_separates(ws)
     if f is None:
-        raise ValueError(
-            "graded dimensions are finite only when the degree-0 invariants are "
-            "trivial (all weights nonzero and spanning a cone with apex); "
-            "this datum admits a nonconstant invariant monomial"
-        )
+        message = "graded dimensions are infinite: degree-0 invariants are nontrivial, witness "
+        try:
+            message += str(find_invariant_monomial(datum))
+        except ValueError:  # an exponent past the integer-to-string limit
+            limit = sys.get_int_max_str_digits()
+            message += (f"too long to print: an exponent has more than {limit} digits, "
+                        "past the integer-to-string limit sys.get_int_max_str_digits()")
+        raise ValueError(message)
     budget = n_max * dot(f, datum.c)
     if budget <= 0:  # only the constants are reachable
         if n_max + 1 > MAX_TABLE_WORK:
@@ -168,7 +174,8 @@ def graded_dim(datum: WeightDatum, degree: int) -> int:
     degree-0 invariants are trivial.  Unreachable degrees count zero.  The
     answer is the last entry of the memoised table for degrees 0..degree,
     so it raises ValueError when that table needs more than MAX_TABLE_WORK
-    DP states and walk-back steps.
+    DP states and walk-back steps.  When the degree-0 invariants are
+    nontrivial it raises ValueError naming a witness invariant monomial.
     """
     if degree < 0:
         raise ValueError("degree must be nonnegative")
@@ -179,7 +186,8 @@ def hilbert_table(datum: WeightDatum, n_max: int) -> list[int]:
     """Graded dimensions for degrees 0..n_max inclusive.
 
     Raises ValueError when the table needs more than MAX_TABLE_WORK DP
-    states and walk-back steps.
+    states and walk-back steps, and ValueError naming a witness invariant
+    monomial when the degree-0 invariants are nontrivial.
     """
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")

@@ -321,10 +321,10 @@ def fan_condition(datum: WeightDatum) -> bool:
     True iff the six weights span a cone with apex 0 and the character
     weight is interior to cone(a_i, b_j) for every mixed pair i != j.
     This is exactly the condition under which the stable locus, the
-    semistable locus and the open locus z != 0 != w all coincide.
+    semistable locus and the open locus z != 0 != w all coincide.  The
+    pair cones come first, so a datum that fails one skips the apex test,
+    a relation search that ``r0_is_trivial`` repeats.
     """
-    if not Cone2(datum.weights()).has_apex():
-        return False
     c = datum.c
     for i in range(3):
         for j in range(3):
@@ -332,7 +332,7 @@ def fan_condition(datum: WeightDatum) -> bool:
                 continue
             if not Cone2((datum.a[i], datum.b[j])).interior_contains(c):
                 return False
-    return True
+    return Cone2(datum.weights()).has_apex()
 
 
 def fan_condition_membership(datum: WeightDatum) -> bool:

@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import conestab
-from conestab import cli
+from conestab import cli, cones, stability
 from conestab.cli import SUITE_NAMES, build_analysis_report, canonical_json, main
 from conestab.cones import Cone2
 from conestab.graded import MAX_TABLE_WORK
@@ -443,6 +443,18 @@ HUGE_A1_TABLE = {
     "B": [[0, 1], [0, 1], [0, 1]],
     "C": [1, 1],
 }
+# X and Y are within the digit limit, but the exponents of the invariant
+# monomial that positive_relation finds are not
+X_DIGITS, Y_DIGITS = "7" * 4290 + "1", "3" * 4290 + "7"
+WITNESS_PAST_DIGIT_LIMIT = {
+    "A": [
+        [X_DIGITS, str(10**4200)],
+        ["-" + Y_DIGITS, str(2 * 10**4200 + 1)],
+        [X_DIGITS, "-" + Y_DIGITS],
+    ],
+    "B": [[1, 0], [0, 1], [1, 1]],
+    "C": [1, 1],
+}
 
 
 def run_module(*argv):
@@ -478,6 +490,8 @@ class TestConfigErrors:
             (["biquotient"], json.dumps(DERIVED_PAST_DIGIT_LIMIT).encode()),
             (["analyze"], json.dumps(SUMS_PAST_DIGIT_LIMIT).encode()),
             (["hilbert", "--no-constraint", "--nmax", "1"], json.dumps(HUGE_A1_TABLE).encode()),
+            (["hilbert", "--no-constraint"], json.dumps(WITNESS_PAST_DIGIT_LIMIT).encode()),
+            (["analyze", "--no-constraint", "--nmax", "1"], json.dumps(WITNESS_PAST_DIGIT_LIMIT).encode()),
         ],
         ids=[
             "non-utf8",
@@ -498,6 +512,8 @@ class TestConfigErrors:
             "biquotient-derived-4301-digit-weight",
             "analyze-4301-digit-weight-sum",
             "hilbert-work-past-cap",
+            "hilbert-witness-past-digit-limit",
+            "analyze-witness-past-digit-limit",
         ],
     )
     def test_bad_config_exits_2_without_traceback(self, tmp_path, argv, content):
@@ -517,6 +533,40 @@ class TestConfigErrors:
         code, _, err = run_cli(capsys, "analyze", write_config(tmp_path, SUMS_PAST_DIGIT_LIMIT))
         assert code == 2
         assert "a_1 + b_1 differs from a_2 + b_2 and a_3 + b_3" in err
+        code, _, err = run_cli(
+            capsys, "hilbert", write_config(tmp_path, WITNESS_PAST_DIGIT_LIMIT), "--no-constraint"
+        )
+        assert code == 2 and err.startswith(
+            "error: graded dimensions are infinite: degree-0 invariants are nontrivial, "
+            "witness too long to print: an exponent has more than 4300 digits"
+        )
+
+    @pytest.mark.parametrize("command, field", [("analyze", "A"), ("biquotient", "wL")])
+    def test_overlong_decimal_string_is_named_not_echoed(self, tmp_path, capsys, command, field):
+        long = "9" * 5000
+        doc = dict(
+            FLAG_CONFIG, A=[[long, 0], [1, 0], [1, 0]], wL=[[long, 0], [0, 0], [0, 0]], wR=[[0, 0]] * 3
+        )
+        code, out, err = run_cli(capsys, command, write_config(tmp_path, doc))
+        assert (code, out) == (2, "")
+        assert err == (
+            f"error: {field}[0]: a string of 5000 characters is not a decimal integer "
+            "within the 4300-digit limit sys.get_int_max_str_digits()\n"
+        )
+
+    @pytest.mark.parametrize(
+        "command, doc, missing",
+        [
+            ("analyze", {"A": [["x", 0], [1, 0], [1, 0]], "B": FLAG_CONFIG["B"]}, "'C'"),
+            ("biquotient", {"wL": "x"}, "'wR'"),
+        ],
+    )
+    def test_missing_field_is_reported_before_a_malformed_one(
+        self, tmp_path, capsys, command, doc, missing
+    ):
+        code, _, err = run_cli(capsys, command, write_config(tmp_path, doc))
+        assert code == 2
+        assert err == f"error: config is missing required field {missing}\n"
 
 
 def _reject_constant(name):
@@ -778,6 +828,21 @@ class TestReportApex:
     def test_apex_with_zero_collinear_and_opposite_weights(self, a, b):
         d = WeightDatum(a=a, b=b, c=(1, 1), constrained=False)
         assert build_analysis_report(d).apex is Cone2(d.weights()).has_apex()
+
+    def test_one_relation_search_when_a_pair_cone_fails(self, monkeypatch):
+        real, calls = cones.positive_relation, []
+
+        def counted(vectors):
+            calls.append(vectors)
+            return real(vectors)
+
+        # c = A1 lies on the boundary of cone(A1, B2), so the fan condition fails
+        d = WeightDatum(a=((1, 0),) * 3, b=((0, 1),) * 3, c=(1, 0))
+        for module in (cones, stability):
+            monkeypatch.setattr(module, "positive_relation", counted)
+        report = build_analysis_report(d)
+        assert (report.star, report.r0_trivial, report.apex) == (False, True, True)
+        assert len(calls) == 1
 
 
 class TestTopLevel:

@@ -7,7 +7,7 @@ import pytest
 
 from conestab import verify
 from conestab.cones import neg
-from conestab.stability import WeightDatum, flag_datum
+from conestab.stability import StabilityClass, WeightDatum, flag_datum
 from conestab.verify import (
     VERIFY_SUITES,
     MomentValue,
@@ -177,6 +177,38 @@ class TestHmReductionSuite:
     def test_rejects_bad_sweep_bound(self):
         with pytest.raises(ValueError):
             verify_hm_reduction(TrialConfig(), sweep_bound=0)
+
+    @pytest.mark.parametrize(
+        "name, fault, message",
+        [
+            (
+                "classify_by_one_ps",
+                lambda real: lambda d, p: StabilityClass.STABLE,
+                "sweep found destabilizing direction but verdict is stable",
+            ),
+            (
+                "classify_by_one_ps",
+                lambda real: lambda d, p: StabilityClass.STRICTLY_SEMISTABLE,
+                "sweep found destabilizing direction but verdict is strictly-semistable",
+            ),
+            (
+                "classify_by_one_ps",
+                lambda real: lambda d, p: (
+                    StabilityClass.STABLE
+                    if real(d, p) is StabilityClass.STRICTLY_SEMISTABLE
+                    else real(d, p)
+                ),
+                "sweep found a zero-weight direction but verdict is Stable",
+            ),
+            ("hm_weight", lambda real: lambda d, p, alpha: real(d, p, alpha) + 1, "vectorized weight"),
+        ],
+        ids=["always-stable", "always-semistable", "stable-for-semistable", "weight-off-by-one"],
+    )
+    def test_planted_fault_is_reported(self, monkeypatch, name, fault, message):
+        monkeypatch.setattr(verify, name, fault(getattr(verify, name)))
+        report = verify_hm_reduction(TrialConfig(seed=77, trials=20, coord_bound=6), sweep_bound=12)
+        assert not report.passed
+        assert report.first_failure.startswith(message)
 
 
 class TestR0Suite:
