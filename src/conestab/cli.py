@@ -14,7 +14,8 @@ Configs are single JSON documents with integer-array fields "A" (3x2),
 when they exceed safe double range.
 
 Exit codes: 0 success, 1 internal invariant breach (including failed
-verification suites), 2 input error, 3 I/O error.
+verification suites), 2 input error, 3 I/O error, 4 crash (any other
+exception, reported on one stderr line without a traceback).
 """
 
 from __future__ import annotations
@@ -118,6 +119,11 @@ def canonical_json(obj) -> str:
 # ---------------------------------------------------------------- config
 
 
+# A rejected value is named by its JSON type, never echoed: it may be huge.
+_JSON_TYPE_NAMES = {float: "a number with a fraction or exponent", list: "a list",
+                    dict: "an object", type(None): "null"}
+
+
 def _to_int(value, name: str) -> int:
     if isinstance(value, bool):
         raise InputError(f"{name}: expected an integer, got a boolean")
@@ -133,7 +139,8 @@ def _to_int(value, name: str) -> int:
                                  f" integer within the {limit}-digit limit"
                                  " sys.get_int_max_str_digits()") from None
             raise InputError(f"{name}: {value!r} is not a decimal integer") from None
-    raise InputError(f"{name}: expected an integer or decimal string, got {value!r}")
+    got = _JSON_TYPE_NAMES.get(type(value), type(value).__name__)
+    raise InputError(f"{name}: expected an integer or decimal string, got {got}")
 
 
 def _to_vec2(value, name: str) -> tuple[int, int]:
@@ -548,6 +555,9 @@ def main(argv=None) -> int:
     except IOError as e:
         print(f"i/o error: {e}", file=sys.stderr)
         return 3
+    except Exception as e:
+        print(f"crash: {type(e).__name__}: " + " ".join(str(e).splitlines()), file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

@@ -17,7 +17,7 @@ from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from conestab.cones import Cone2, Vec2, cross, dot, strictly_separates
+from conestab.cones import Cone2, Vec2, cross, dot, neg, strictly_separates
 from conestab.graded import find_invariant_monomial
 from conestab.stability import (
     ALL_PATTERNS,
@@ -233,8 +233,54 @@ def _primitive_direction_array(sweep_bound: int) -> np.ndarray:
     return grid[mask]
 
 
-def _sweep_max_abs(datum: WeightDatum) -> int:
-    return max(abs(c) for v in datum.weights() + (datum.c,) for c in v)
+def _sweep_columns(datum: WeightDatum, sweep_bound: int) -> np.ndarray:
+    """The six weights and -c as the sweep's seven columns.
+
+    int64 is ample for sane inputs; exact Python integers (dtype=object)
+    when a pairing with a direction of the sweep could approach the
+    overflow line.
+    """
+    ws = datum.weights() + (neg(datum.c),)
+    big = max(abs(x) for v in ws for x in v)
+    return np.array(ws, dtype=np.int64 if 2 * big * sweep_bound < 2**62 else object)
+
+
+# Column i - 1 pairs with a_i, column j + 2 with b_j and column 6 with -c.
+# A pattern's weight at a direction is minus the least pairing over its
+# columns; its mask has one bit per column.
+_PATTERN_COLUMNS = tuple(
+    tuple(sorted(i - 1 for i in p.z_support))
+    + tuple(sorted(j + 2 for j in p.w_support))
+    + (6,)
+    for p in ALL_PATTERNS
+)
+_PATTERN_MASKS = np.array(
+    [[sum(1 << k for k in columns)] for columns in _PATTERN_COLUMNS], dtype=np.int64
+)
+_COLUMN_BITS = 1 << np.arange(7, dtype=np.int64)
+# a direction's row of seven signs is one base-3 code, digit k = sign + 1
+_SIGN_DIGITS = 3 ** np.arange(7, dtype=np.int64)
+
+
+def _sweep_flags(datum: WeightDatum, dirs: np.ndarray) -> list[tuple[bool, bool]]:
+    """(found_negative, found_zero) for each pattern of ALL_PATTERNS.
+
+    found_negative: some direction of dirs gives the pattern a negative
+    weight, i.e. pairs every column of the pattern positively.
+    found_zero: some direction gives it weight zero, i.e. pairs every
+    column nonnegatively and one of them to zero.  Each direction reduces
+    to its row of signs; only the few dozen distinct rows are tested, by
+    mask, against the 64 patterns.
+    """
+    vals = dirs @ _sweep_columns(datum, int(dirs.max())).T
+    codes = np.asarray((np.sign(vals) + 1) @ _SIGN_DIGITS, dtype=np.int64)
+    digits = np.flatnonzero(np.bincount(codes))[:, None] // _SIGN_DIGITS % 3
+    positive = (digits == 2) @ _COLUMN_BITS
+    nonnegative = (digits >= 1) @ _COLUMN_BITS
+    m = _PATTERN_MASKS
+    all_positive = (positive & m) == m  # (patterns, distinct rows)
+    found_zero = ((nonnegative & m) == m) & ~all_positive
+    return list(zip(all_positive.any(axis=1).tolist(), found_zero.any(axis=1).tolist()))
 
 
 def verify_hm_reduction(cfg: TrialConfig, sweep_bound: int = 50) -> VerifyReport:
@@ -242,8 +288,11 @@ def verify_hm_reduction(cfg: TrialConfig, sweep_bound: int = 50) -> VerifyReport
 
     The sweep sees finitely many directions, so it can only weaken
     verdicts: a negative weight found by the sweep forces Unstable, a zero
-    minimum forces not-Stable.  Contradictions mean the finite
-    critical-direction reduction in the classifier is wrong.
+    weight forces not-Stable.  Contradictions mean the finite
+    critical-direction reduction in the classifier is wrong.  Each datum
+    is swept once: every direction's pairings reduce to a row of signs,
+    the distinct rows are kept, and all 64 patterns are tested against
+    them by mask (``_sweep_flags``).
     """
     if sweep_bound <= 0:
         raise ValueError("sweep_bound must be positive")
@@ -255,24 +304,15 @@ def verify_hm_reduction(cfg: TrialConfig, sweep_bound: int = 50) -> VerifyReport
     fallback_data = 0
 
     for d in datum_stream(cfg):
-        # int64 is ample for sane inputs; exact Python integers (dtype=object)
-        # when a dot product could approach the overflow line
-        use_int64 = 2 * _sweep_max_abs(d) * sweep_bound < 2**62
+        cols = _sweep_columns(d, sweep_bound)
+        use_int64 = cols.dtype == np.int64
         if not use_int64:
             fallback_data += 1
-        cols = np.array(d.weights() + (d.c,), dtype=np.int64 if use_int64 else object)
-        vals = dirs @ cols.T  # (directions, 7); last column is <c, alpha>
-        minus_c = -vals[:, 6]
+        flags = _sweep_flags(d, dirs)
         for idx, p in enumerate(ALL_PATTERNS):
             verdict = classify_by_one_ps(d, p)
             report.checked += 1
-            sel = [i - 1 for i in sorted(p.z_support)] + [
-                j + 2 for j in sorted(p.w_support)
-            ]
-            entries = np.concatenate([vals[:, sel], minus_c[:, None]], axis=1)
-            mins = entries.min(axis=1)
-            found_negative = bool((mins > 0).any())
-            found_zero = bool((mins == 0).any())
+            found_negative, found_zero = flags[idx]
             if found_negative and verdict is not StabilityClass.UNSTABLE:
                 report.record_failure(
                     f"sweep found destabilizing direction but verdict is "
@@ -288,12 +328,8 @@ def verify_hm_reduction(cfg: TrialConfig, sweep_bound: int = 50) -> VerifyReport
                 row = cross_rng.randrange(dirs.shape[0])
                 alpha = (int(dirs[row, 0]), int(dirs[row, 1]))
                 exact = hm_weight(d, p, alpha)
-                swept = -int(
-                    min(
-                        [int(v) for v in vals[row, sel]]
-                        + [int(minus_c[row])]
-                    )
-                )
+                pairings = dirs[row] @ cols.T
+                swept = -min(int(pairings[k]) for k in _PATTERN_COLUMNS[idx])
                 cross_checks += 1
                 if exact != swept:
                     report.record_failure(

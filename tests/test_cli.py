@@ -555,6 +555,22 @@ class TestConfigErrors:
         )
 
     @pytest.mark.parametrize(
+        "value, named",
+        [
+            ([0] * 50_000, "a list"),
+            ({"x": 1}, "an object"),
+            (None, "null"),
+            (1.5, "a number with a fraction or exponent"),
+        ],
+        ids=["list", "object", "null", "float"],
+    )
+    def test_rejected_value_is_named_not_echoed(self, tmp_path, capsys, value, named):
+        doc = dict(FLAG_CONFIG, A=[[value, 0], [1, 0], [1, 0]])
+        code, out, err = run_cli(capsys, "analyze", write_config(tmp_path, doc))
+        assert (code, out) == (2, "")
+        assert err == f"error: A[0]: expected an integer or decimal string, got {named}\n"
+
+    @pytest.mark.parametrize(
         "command, doc, missing",
         [
             ("analyze", {"A": [["x", 0], [1, 0], [1, 0]], "B": FLAG_CONFIG["B"]}, "'C'"),
@@ -660,6 +676,22 @@ class TestHostileInput:
         assert proc.returncode == 2
         assert "Traceback" not in proc.stderr
         assert proc.stdout == ""
+
+    @pytest.mark.parametrize(
+        "message, line",
+        [("division by zero", "division by zero"), ("first\nsecond", "first second")],
+        ids=["one-line", "multi-line"],
+    )
+    def test_unexpected_exception_exits_4_on_one_line(
+        self, monkeypatch, capsys, flag_config, message, line
+    ):
+        def crash(args):
+            raise ZeroDivisionError(message)
+
+        _, help_text, arguments = cli.COMMANDS["analyze"]
+        monkeypatch.setitem(cli.COMMANDS, "analyze", (crash, help_text, arguments))
+        code, out, err = run_cli(capsys, "analyze", flag_config)
+        assert (code, out, err) == (4, "", f"crash: ZeroDivisionError: {line}\n")
 
     @settings(max_examples=200, deadline=None)
     @given(text=hostile_config_text(), argv=_FUZZ_ARGV)

@@ -7,7 +7,7 @@ import pytest
 
 from conestab import verify
 from conestab.cones import neg
-from conestab.stability import StabilityClass, WeightDatum, flag_datum
+from conestab.stability import ALL_PATTERNS, StabilityClass, WeightDatum, flag_datum, hm_weight
 from conestab.verify import (
     VERIFY_SUITES,
     MomentValue,
@@ -173,6 +173,60 @@ class TestHmReductionSuite:
         report = verify_hm_reduction(cfg, sweep_bound=3)
         assert report.details["exact_fallback_data"] > 0
         assert report.passed, report.first_failure
+
+    @pytest.mark.parametrize("sweep_bound", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize(
+        "coord_bound, constrained",
+        [(2, True), (2, False), (20, True), (20, False), (2**61, True), (2**61, False)],
+    )
+    def test_sweep_flags_match_exact_weights(self, sweep_bound, coord_bound, constrained):
+        dirs = verify._primitive_direction_array(sweep_bound)
+        alphas = [(int(x), int(y)) for x, y in dirs]
+        cfg = TrialConfig(
+            seed=sweep_bound, trials=3, coord_bound=coord_bound, enforce_constraint=constrained
+        )
+        regimes = set()
+        for d in datum_stream(cfg):
+            regimes.add(verify._sweep_columns(d, sweep_bound).dtype == object)
+            expected = []
+            for p in ALL_PATTERNS:
+                weights = [hm_weight(d, p, alpha) for alpha in alphas]
+                expected.append((any(w < 0 for w in weights), any(w == 0 for w in weights)))
+            assert verify._sweep_flags(d, dirs) == expected
+        # int64 for small coordinates, exact Python integers near 2**61
+        if coord_bound < 2**61:
+            assert regimes == {False}
+        elif sweep_bound > 1:
+            assert True in regimes
+
+    def test_report_bytes_are_pinned(self):
+        report = verify_hm_reduction(TrialConfig(seed=77, trials=20, coord_bound=6), sweep_bound=12)
+        assert report.as_dict() == {
+            "suite": "hm-reduction", "seed": 77, "trials": 20, "coord_bound": 6,
+            "enforce_constraint": True, "checked": 1280, "disagreements": 0,
+            "first_failure": None, "passed": True,
+            "details": {"exact_cross_checks": 64, "exact_fallback_data": 0, "sweep_bound": 12},
+        }
+        report = verify_hm_reduction(TrialConfig(seed=5, trials=2, coord_bound=2**61), sweep_bound=3)
+        assert report.as_dict() == {
+            "suite": "hm-reduction", "seed": 5, "trials": 2, "coord_bound": 2**61,
+            "enforce_constraint": True, "checked": 128, "disagreements": 0,
+            "first_failure": None, "passed": True,
+            "details": {"exact_cross_checks": 0, "exact_fallback_data": 2, "sweep_bound": 3},
+        }
+
+    def test_spot_check_directions_are_pinned(self, monkeypatch):
+        calls = []
+
+        def spy(d, p, alpha):
+            calls.append((str(p), alpha))
+            return hm_weight(d, p, alpha)
+
+        monkeypatch.setattr(verify, "hm_weight", spy)
+        verify_hm_reduction(TrialConfig(seed=77, trials=20, coord_bound=6), sweep_bound=12)
+        assert len(calls) == 64
+        assert calls[:2] == [("z{-}w{-}", (-7, -4)), ("z{2}w{1}", (-7, -3))]
+        assert calls[-2:] == [("z{3}w{2}", (5, -6)), ("z{23}w{12}", (3, -7))]
 
     def test_rejects_bad_sweep_bound(self):
         with pytest.raises(ValueError):
