@@ -56,17 +56,29 @@ class InternalError(Exception):
 _PLACEHOLDER = "\x00conestab pattern table\x00"
 _PLACEHOLDER_JSON = json.dumps(_PLACEHOLDER)
 _ROW_KEYS = {"z_support", "w_support", "realizable", "in_M", "class_hm", "class_cone"}
-_VERDICTS = frozenset(v.value for v in StabilityClass)
-# Encoded pattern rows, indented to their depth in a report.  Real reports
-# have at most 64 patterns x 3 verdicts; the cap bounds made-up rows.
-_ROW_TEXT: dict[tuple, str] = {}
-_ROW_TEXT_CAP = 1024
+# the columns of a row that depend only on the pattern, never on the datum
+_PATTERN_COLUMNS = tuple(
+    (p, tuple(sorted(p.z_support)), tuple(sorted(p.w_support)),
+     p.is_realizable(), p.is_open_pattern())
+    for p in ALL_PATTERNS
+)
+# The 64 x 3 rows a report can hold, each with its text indented to its
+# depth in a report; the text is encoded the first time the row is written.
+_ROW_TEXT: dict[tuple, str | None] = dict.fromkeys(
+    (z, w, realizable, in_m, v.value, v.value)
+    for _, z, w, realizable, in_m in _PATTERN_COLUMNS
+    for v in StabilityClass
+)
 
 
 def _pattern_table_text(table) -> str | None:
     """json.dumps of a report's pattern table at depth 1, or None unless
-    every row has the six keys, integer supports, two booleans and two
-    verdict strings."""
+    every row is one of the 192 of _ROW_TEXT.
+
+    A key compares by value, and 1 == 1.0 == True, but json.dumps writes
+    each differently: before its lookup a row must have the six keys,
+    integer supports, boolean flags and string verdicts.
+    """
     if type(table) is not list:
         return None
     rows = []
@@ -76,25 +88,20 @@ def _pattern_table_text(table) -> str | None:
         z, w = row["z_support"], row["w_support"]
         realizable, in_m = row["realizable"], row["in_M"]
         hm, cone = row["class_hm"], row["class_cone"]
-        if not (type(z) is list and type(w) is list
-                and type(realizable) is bool and type(in_m) is bool):
+        if not (type(z) is list and type(w) is list and type(realizable) is bool
+                and type(in_m) is bool and type(hm) is str and type(cone) is str):
             return None
+        for i in z + w:
+            if type(i) is not int:
+                return None
         key = (tuple(z), tuple(w), realizable, in_m, hm, cone)
-        try:
-            text = _ROW_TEXT.get(key)
-        except TypeError:  # an unhashable value, which no well-formed row has
+        text = _ROW_TEXT.get(key, False)
+        if text is False:  # not a row a report can hold
             return None
         if text is None:
-            if not (all(type(i) is int for i in z + w) and hm in _VERDICTS and cone in _VERDICTS):
-                return None
             text = "    " + json.dumps(row, sort_keys=True, indent=2).replace("\n", "\n    ")
-            if len(_ROW_TEXT) < _ROW_TEXT_CAP:
-                _ROW_TEXT[key] = text
+            _ROW_TEXT[key] = text
         rows.append(text)
-    # A key compares by value, and 1 == 1.0 == True, but json.dumps writes
-    # each differently: the cached text is this row's only for exact ints.
-    if not {type(i) for row in table for i in row["z_support"] + row["w_support"]} <= {int}:
-        return None
     return "[\n" + ",\n".join(rows) + "\n  ]" if rows else "[]"
 
 
@@ -102,10 +109,11 @@ def canonical_json(obj) -> str:
     """``json.dumps(obj, sort_keys=True, indent=2)`` plus a newline.
 
     The indenting encoder runs in pure Python, so a report's 64-row
-    pattern table would dominate the cost.  Each distinct row is encoded
-    once, by ``json.dumps`` itself, and spliced into the dump of the rest
-    of the payload in place of a placeholder string; any other payload is
-    dumped whole.  Either way the bytes are those of ``json.dumps``.
+    pattern table would dominate the cost.  A report's rows are among the
+    192 of _ROW_TEXT; each is encoded once, by ``json.dumps`` itself, and
+    spliced into the dump of the rest of the payload in place of a
+    placeholder string.  Any other payload is dumped whole.  Either way
+    the bytes are those of ``json.dumps``.
     """
     if type(obj) is dict and "pattern_table" in obj:
         table = _pattern_table_text(obj["pattern_table"])
@@ -215,20 +223,11 @@ def complex3_from_config(doc: dict, key: str) -> tuple[complex, complex, complex
 # ---------------------------------------------------------------- report
 
 
-# the columns of a row that depend only on the pattern, never on the datum
-_PATTERN_COLUMNS = tuple(
-    (p, tuple(sorted(p.z_support)), tuple(sorted(p.w_support)),
-     p.is_realizable(), p.is_open_pattern())
-    for p in ALL_PATTERNS
-)
-
-
 @dataclass
 class AnalysisReport:
     datum: WeightDatum
     apex: bool
-    star: bool
-    star_prime: bool
+    star: bool  # the fan condition; its interior and membership forms agree
     r0_trivial: bool
     verdicts: list[StabilityClass]  # per pattern of ALL_PATTERNS; both classifiers agree
     hilbert: list[int] | None = None
@@ -244,7 +243,7 @@ class AnalysisReport:
             },
             "apex": self.apex,
             "star": self.star,
-            "star_prime": self.star_prime,
+            "star_prime": self.star,
             "r0_trivial": self.r0_trivial,
             "pattern_table": [
                 {
@@ -298,7 +297,6 @@ def build_analysis_report(datum: WeightDatum, nmax: int | None = None) -> Analys
         datum=datum,
         apex=apex,
         star=star,
-        star_prime=star_prime,
         r0_trivial=trivial,
         verdicts=verdicts,
         hilbert=hilbert,
@@ -323,7 +321,7 @@ def render_report_text(report: AnalysisReport, extra_lines: list[str] | None = N
     )
     lines.append(f"apex: {_yesno(report.apex)}")
     lines.append(f"fan condition (interior form): {_yesno(report.star)}")
-    lines.append(f"fan condition (membership form): {_yesno(report.star_prime)}")
+    lines.append(f"fan condition (membership form): {_yesno(report.star)}")
     lines.append(f"degree-0 invariants trivial: {_yesno(report.r0_trivial)}")
     if extra_lines:
         lines.extend(extra_lines)

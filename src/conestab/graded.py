@@ -17,6 +17,7 @@ import sys
 from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
+from operator import index as _as_int
 
 from conestab.cones import ZERO, Vec2, dot, positive_relation, strictly_separates
 from conestab.stability import WeightDatum
@@ -30,8 +31,8 @@ class Monomial:
     w_exp: tuple[int, int, int]
 
     def __post_init__(self):
-        k = tuple(int(e) for e in self.z_exp)
-        l = tuple(int(e) for e in self.w_exp)
+        k = tuple(_as_int(e) for e in self.z_exp)
+        l = tuple(_as_int(e) for e in self.w_exp)
         if len(k) != 3 or len(l) != 3 or any(e < 0 for e in k + l):
             raise ValueError("exponents must be three nonnegative integers per block")
         object.__setattr__(self, "z_exp", k)

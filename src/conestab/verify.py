@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from operator import index as _as_int
 from typing import Iterator, NamedTuple
 
 import numpy as np
@@ -40,9 +41,9 @@ class TrialConfig:
     enforce_constraint: bool = True
 
     def __post_init__(self):
-        object.__setattr__(self, "seed", int(self.seed))
-        object.__setattr__(self, "trials", int(self.trials))
-        object.__setattr__(self, "coord_bound", int(self.coord_bound))
+        object.__setattr__(self, "seed", _as_int(self.seed))
+        object.__setattr__(self, "trials", _as_int(self.trials))
+        object.__setattr__(self, "coord_bound", _as_int(self.coord_bound))
         if self.trials <= 0:
             raise ValueError("trials must be positive")
         if self.coord_bound <= 0:
@@ -262,8 +263,9 @@ _COLUMN_BITS = 1 << np.arange(7, dtype=np.int64)
 _SIGN_DIGITS = 3 ** np.arange(7, dtype=np.int64)
 
 
-def _sweep_flags(datum: WeightDatum, dirs: np.ndarray) -> list[tuple[bool, bool]]:
-    """(found_negative, found_zero) for each pattern of ALL_PATTERNS.
+def _sweep_flags(cols: np.ndarray, dirs: np.ndarray) -> list[tuple[bool, bool]]:
+    """(found_negative, found_zero) for each pattern of ALL_PATTERNS, from a
+    datum's sweep columns (``_sweep_columns``) and the sweep's directions.
 
     found_negative: some direction of dirs gives the pattern a negative
     weight, i.e. pairs every column of the pattern positively.
@@ -272,7 +274,7 @@ def _sweep_flags(datum: WeightDatum, dirs: np.ndarray) -> list[tuple[bool, bool]
     to its row of signs; only the few dozen distinct rows are tested, by
     mask, against the 64 patterns.
     """
-    vals = dirs @ _sweep_columns(datum, int(dirs.max())).T
+    vals = dirs @ cols.T
     codes = np.asarray((np.sign(vals) + 1) @ _SIGN_DIGITS, dtype=np.int64)
     digits = np.flatnonzero(np.bincount(codes))[:, None] // _SIGN_DIGITS % 3
     positive = (digits == 2) @ _COLUMN_BITS
@@ -308,7 +310,7 @@ def verify_hm_reduction(cfg: TrialConfig, sweep_bound: int = 50) -> VerifyReport
         use_int64 = cols.dtype == np.int64
         if not use_int64:
             fallback_data += 1
-        flags = _sweep_flags(d, dirs)
+        flags = _sweep_flags(cols, dirs)
         for idx, p in enumerate(ALL_PATTERNS):
             verdict = classify_by_one_ps(d, p)
             report.checked += 1

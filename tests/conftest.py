@@ -13,7 +13,7 @@ from fractions import Fraction
 from itertools import product
 
 from conestab.cones import dot
-from conestab.stability import WeightDatum
+from conestab.verify import TrialConfig, random_datum
 
 
 def combo_certifies(gens, p, max_numerator=6, denominator=3):
@@ -73,16 +73,4 @@ def oracle_contains(gens, p):
 
 
 def random_test_datum(rng, bound=8, constrained=True):
-    def vec():
-        return (rng.randint(-bound, bound), rng.randint(-bound, bound))
-
-    a = (vec(), vec(), vec())
-    if constrained:
-        s = vec()
-        b = tuple((s[0] - ai[0], s[1] - ai[1]) for ai in a)
-    else:
-        b = (vec(), vec(), vec())
-    c = vec()
-    while c == (0, 0):
-        c = vec()
-    return WeightDatum(a=a, b=b, c=c, constrained=constrained)
+    return random_datum(TrialConfig(coord_bound=bound, enforce_constraint=constrained), rng)

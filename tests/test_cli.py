@@ -20,7 +20,14 @@ from conestab import cli, cones, stability
 from conestab.cli import SUITE_NAMES, build_analysis_report, canonical_json, main
 from conestab.cones import Cone2
 from conestab.graded import MAX_TABLE_WORK
-from conestab.stability import WeightDatum, flag_datum, r0_is_trivial, weights_from_biquotient
+from conestab.stability import (
+    ALL_PATTERNS,
+    StabilityClass,
+    WeightDatum,
+    flag_datum,
+    r0_is_trivial,
+    weights_from_biquotient,
+)
 from conestab.svg import fan_svg
 from conestab.verify import VERIFY_SUITES
 
@@ -794,7 +801,7 @@ class TestCanonicalJson:
     def test_equal_values_of_other_types_are_not_mistaken(self, monkeypatch):
         """1 == 1.0 == True, but json.dumps writes each differently: no row
         may be served the cached text of a row equal to it, in either order."""
-        monkeypatch.setattr(cli, "_ROW_TEXT", {})
+        monkeypatch.setattr(cli, "_ROW_TEXT", dict.fromkeys(cli._ROW_TEXT))
         payload = build_analysis_report(flag_datum()).as_dict()
         odd = []
         for row in payload["pattern_table"]:
@@ -824,21 +831,34 @@ class TestCanonicalJson:
         ):
             assert canonical_json(payload) == reference_json(payload)
 
-    def test_row_cache_stays_within_its_cap(self, monkeypatch):
-        monkeypatch.setattr(cli, "_ROW_TEXT", {})
+    def test_row_table_holds_exactly_the_rows_a_report_can_hold(self, monkeypatch):
+        # a real row is fixed by its pattern and its one verdict
+        real = {
+            (tuple(sorted(p.z_support)), tuple(sorted(p.w_support)),
+             p.is_realizable(), p.is_open_pattern(), v.value, v.value)
+            for p in ALL_PATTERNS
+            for v in StabilityClass
+        }
+        assert len(real) == 64 * 3 and cli._ROW_TEXT.keys() == real
+        monkeypatch.setattr(cli, "_ROW_TEXT", dict.fromkeys(cli._ROW_TEXT))
         rng = random.Random(7)
+        seen = set()
         for i in range(2000):
             d = random_test_datum(rng, bound=(2, 20)[i % 2], constrained=i % 3 > 0)
             payload = build_analysis_report(d).as_dict()
             assert canonical_json(payload) == reference_json(payload)
-        # a real row is fixed by its pattern and its one verdict
-        assert len(cli._ROW_TEXT) <= 64 * 3 <= cli._ROW_TEXT_CAP
-        monkeypatch.setattr(cli, "_ROW_TEXT", {})
+            seen.update(
+                (tuple(r["z_support"]), tuple(r["w_support"]), r["realizable"], r["in_M"],
+                 r["class_hm"], r["class_cone"])
+                for r in payload["pattern_table"]
+            )
+        # every row of a real report was served from the table
+        assert {key for key, text in cli._ROW_TEXT.items() if text is not None} == seen
         row = build_analysis_report(flag_datum()).as_dict()["pattern_table"][0]
-        for k in range(3 * cli._ROW_TEXT_CAP):
+        for k in range(3000):
             payload = {"pattern_table": [dict(row, z_support=[k])]}
             assert canonical_json(payload) == reference_json(payload)
-        assert len(cli._ROW_TEXT) == cli._ROW_TEXT_CAP
+        assert cli._ROW_TEXT.keys() == real
 
 
 class TestReportApex:

@@ -57,6 +57,8 @@ class TestMonomial:
             Monomial((1, 0), (0, 0, 0))
         with pytest.raises(ValueError):
             Monomial((1, 0, -1), (0, 0, 0))
+        with pytest.raises(TypeError):  # never truncated to z1
+            Monomial(z_exp=(1.5, 0, 0), w_exp=(0, 0, 0))
 
     def test_weight_and_degree(self):
         m = Monomial((1, 0, 0), (0, 1, 0))

@@ -31,6 +31,8 @@ class TestTrialConfig:
             TrialConfig(trials=0)
         with pytest.raises(ValueError):
             TrialConfig(coord_bound=0)
+        with pytest.raises(TypeError):  # never truncated to (2, 3, 1)
+            TrialConfig(seed=2.9, trials=3.7, coord_bound=1.2)
 
     def test_stream_is_reproducible(self):
         cfg = TrialConfig(seed=11, trials=25, coord_bound=9)
@@ -187,12 +189,13 @@ class TestHmReductionSuite:
         )
         regimes = set()
         for d in datum_stream(cfg):
-            regimes.add(verify._sweep_columns(d, sweep_bound).dtype == object)
+            cols = verify._sweep_columns(d, sweep_bound)
+            regimes.add(cols.dtype == object)
             expected = []
             for p in ALL_PATTERNS:
                 weights = [hm_weight(d, p, alpha) for alpha in alphas]
                 expected.append((any(w < 0 for w in weights), any(w == 0 for w in weights)))
-            assert verify._sweep_flags(d, dirs) == expected
+            assert verify._sweep_flags(cols, dirs) == expected
         # int64 for small coordinates, exact Python integers near 2**61
         if coord_bound < 2**61:
             assert regimes == {False}
