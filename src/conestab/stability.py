@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import lru_cache
+from functools import cached_property
 
 from conestab.cones import (
     Cone2,
@@ -91,15 +91,9 @@ class SupportPattern:
         return f"z{{{z}}}w{{{w}}}"
 
 
-def _subsets() -> tuple[frozenset[int], ...]:
-    out = []
-    for mask in range(8):
-        out.append(frozenset(i for i in _INDICES if mask >> (i - 1) & 1))
-    return tuple(out)
-
-
+_SUBSETS = tuple(frozenset(i for i in _INDICES if mask >> (i - 1) & 1) for mask in range(8))
 ALL_PATTERNS: tuple[SupportPattern, ...] = tuple(
-    SupportPattern(z, w) for z in _subsets() for w in _subsets()
+    SupportPattern(z, w) for z in _SUBSETS for w in _SUBSETS
 )
 
 
@@ -112,6 +106,10 @@ class WeightDatum:
     with ``constrained=False`` waives that check for exploratory data and
     the waiver is recorded on the instance.  The character weight c must be
     nonzero throughout: linearising by the trivial character is excluded.
+
+    Each classifier's table of datum-level facts is built on first use and
+    kept on the datum (``_one_ps_masks``, ``_cone_masks``); neither is a
+    field, so equality, hash and repr ignore both.
     """
 
     a: tuple[Vec2, Vec2, Vec2]
@@ -123,6 +121,8 @@ class WeightDatum:
         a = tuple(as_vec2(v) for v in self.a)
         b = tuple(as_vec2(v) for v in self.b)
         c = as_vec2(self.c)
+        if type(self.constrained) is not bool:
+            raise TypeError(f"constrained must be a bool, got {self.constrained!r}")
         if len(a) != 3 or len(b) != 3:
             raise ValueError("exactly three z weights and three w weights are required")
         if c == ZERO:
@@ -156,6 +156,14 @@ class WeightDatum:
             self.b[j - 1] for j in sorted(pattern.w_support)
         ]
 
+    @cached_property
+    def _one_ps_masks(self) -> tuple[tuple[int, ...], ...]:
+        return _one_ps_table(self)
+
+    @cached_property
+    def _cone_masks(self) -> tuple[tuple[int, ...], ...]:
+        return _cone_table(self)
+
 
 def flag_datum() -> WeightDatum:
     """The weight datum whose quotient is the full flag variety of C^3."""
@@ -179,14 +187,6 @@ def hm_weight(datum: WeightDatum, pattern: SupportPattern, alpha) -> int:
     return -min(entries)
 
 
-# Each classifier memoises a small table of datum-level facts, so that
-# classifying one pattern is a handful of tests of its 6-bit support mask
-# against that table.  A cache of a few data serves every caller that
-# classifies the patterns of one datum in a row.
-_TABLE_CACHE_SIZE = 16
-
-
-@lru_cache(maxsize=_TABLE_CACHE_SIZE)
 def _one_ps_table(datum: WeightDatum) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Candidate one-parameter subgroups of the datum, as dual masks.
 
@@ -236,7 +236,7 @@ def classify_by_one_ps(datum: WeightDatum, pattern: SupportPattern) -> Stability
     subset of those of the datum.  The randomized harness double-checks
     the reduction against a dense sweep.
     """
-    destabilizing, null = _one_ps_table(datum)
+    destabilizing, null = datum._one_ps_masks
     m = pattern._mask
     for mask in destabilizing:
         if m & mask == m:
@@ -247,7 +247,6 @@ def classify_by_one_ps(datum: WeightDatum, pattern: SupportPattern) -> Stability
     return StabilityClass.STABLE
 
 
-@lru_cache(maxsize=_TABLE_CACHE_SIZE)
 def _cone_table(datum: WeightDatum) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
     """Datum-level cone facts, as masks of weights.
 
@@ -297,7 +296,7 @@ def classify_by_cone(datum: WeightDatum, pattern: SupportPattern) -> StabilityCl
     those of the datum.  Implemented purely with cone primitives;
     ``classify_by_one_ps`` re-derives the same verdicts independently.
     """
-    containing, spanning, dual = _cone_table(datum)
+    containing, spanning, dual = datum._cone_masks
     m = pattern._mask
     for mask in containing:
         if mask & m == mask:

@@ -44,6 +44,8 @@ class TrialConfig:
         object.__setattr__(self, "seed", _as_int(self.seed))
         object.__setattr__(self, "trials", _as_int(self.trials))
         object.__setattr__(self, "coord_bound", _as_int(self.coord_bound))
+        if type(self.enforce_constraint) is not bool:
+            raise TypeError(f"enforce_constraint must be a bool, got {self.enforce_constraint!r}")
         if self.trials <= 0:
             raise ValueError("trials must be positive")
         if self.coord_bound <= 0:
@@ -249,14 +251,14 @@ def _sweep_columns(datum: WeightDatum, sweep_bound: int) -> np.ndarray:
 # Column i - 1 pairs with a_i, column j + 2 with b_j and column 6 with -c.
 # A pattern's weight at a direction is minus the least pairing over its
 # columns; its mask has one bit per column.
-_PATTERN_COLUMNS = tuple(
+_SWEEP_PATTERN_COLUMNS = tuple(
     tuple(sorted(i - 1 for i in p.z_support))
     + tuple(sorted(j + 2 for j in p.w_support))
     + (6,)
     for p in ALL_PATTERNS
 )
 _PATTERN_MASKS = np.array(
-    [[sum(1 << k for k in columns)] for columns in _PATTERN_COLUMNS], dtype=np.int64
+    [[sum(1 << k for k in columns)] for columns in _SWEEP_PATTERN_COLUMNS], dtype=np.int64
 )
 _COLUMN_BITS = 1 << np.arange(7, dtype=np.int64)
 # a direction's row of seven signs is one base-3 code, digit k = sign + 1
@@ -331,7 +333,7 @@ def verify_hm_reduction(cfg: TrialConfig, sweep_bound: int = 50) -> VerifyReport
                 alpha = (int(dirs[row, 0]), int(dirs[row, 1]))
                 exact = hm_weight(d, p, alpha)
                 pairings = dirs[row] @ cols.T
-                swept = -min(int(pairings[k]) for k in _PATTERN_COLUMNS[idx])
+                swept = -min(int(pairings[k]) for k in _SWEEP_PATTERN_COLUMNS[idx])
                 cross_checks += 1
                 if exact != swept:
                     report.record_failure(

@@ -8,15 +8,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conestab import stability
+from conestab.cli import build_analysis_report
 from conestab.cones import Cone2, dot
 from conestab.stability import (
     ALL_PATTERNS,
     StabilityClass,
     SupportPattern,
     WeightDatum,
-    _TABLE_CACHE_SIZE,
-    _cone_table,
-    _one_ps_table,
     classify_by_cone,
     classify_by_one_ps,
     fan_condition,
@@ -26,6 +25,7 @@ from conestab.stability import (
     r0_is_trivial,
     weights_from_biquotient,
 )
+from conestab.verify import main_theorem_sides
 
 from conftest import random_test_datum
 
@@ -97,6 +97,11 @@ class TestWeightDatum:
             a=((1, 0), (2, 0), (1, 0)), b=((0, 1),) * 3, c=(1, 1), constrained=False
         )
         assert not d.constrained
+        # a truthy string would enforce the constraint, and 0 would be
+        # reported as 0, not false
+        for flag in ("no", "", 0, 1, None, 1.0):
+            with pytest.raises(TypeError, match="constrained must be a bool"):
+                WeightDatum(a=((1, 0),) * 3, b=((0, 1),) * 3, c=(1, 1), constrained=flag)
 
 
 class TestHMWeight:
@@ -251,15 +256,14 @@ def small_hostile_data(rng):
 
 
 class TestDirectionTables:
-    """Both classifiers memoise per-datum tables; verdicts must not depend
-    on what the caches hold."""
+    """Each classifier keeps a per-datum table on the datum; verdicts must
+    not depend on which data already hold one."""
 
     def test_verdicts_do_not_depend_on_cache_state(self):
         rng = random.Random(2718)
         data = small_hostile_data(rng)
-        assert len(set(data)) > 2 * _TABLE_CACHE_SIZE
         # each datum's patterns are spread over a window of other data, so
-        # lookups mix cache hits with evictions
+        # classification of one datum interleaves with that of others
         order = sorted(
             ((i, k) for i in range(len(data)) for k in range(64)),
             key=lambda ik: (ik[0] + rng.randint(0, 24), rng.random()),
@@ -268,15 +272,10 @@ class TestDirectionTables:
             SupportPattern(frozenset(set(p.z_support)), frozenset(set(p.w_support)))
             for p in ALL_PATTERNS
         ]
-        _one_ps_table.cache_clear()
-        _cone_table.cache_clear()
         seen = {}
         for i, k in order:
             d, p = data[i], fresh_patterns[k]
             seen[i, k] = (classify_by_one_ps(d, p), classify_by_cone(d, p))
-        for table in (_one_ps_table, _cone_table):
-            info = table.cache_info()
-            assert info.hits > 0 and info.misses > len(data), info
 
         for i, d in enumerate(data):
             # Hilbert-Mumford weights over a direction box that is complete
@@ -286,18 +285,58 @@ class TestDirectionTables:
                 ([dot(v, alpha) for v in d.weights()], -dot(d.c, alpha))
                 for alpha in primitive_directions(box)
             ]
-            _one_ps_table.cache_clear()
-            _cone_table.cache_clear()
+            fresh = WeightDatum(a=d.a, b=d.b, c=d.c, constrained=d.constrained)
             for k, p in enumerate(ALL_PATTERNS):
                 hm, cone = seen[i, k]
                 assert hm is cone, (d, p)
-                assert (classify_by_one_ps(d, p), classify_by_cone(d, p)) == (hm, cone), (d, p)
+                again = (classify_by_one_ps(fresh, p), classify_by_cone(fresh, p))
+                assert again == (hm, cone), (d, p)
                 sel = [z - 1 for z in p.z_support] + [w + 2 for w in p.w_support]
                 values = [-min([row[j] for j in sel] + [minus_c]) for row, minus_c in rows]
                 if any(v < 0 for v in values):
                     assert hm is S.UNSTABLE, (d, p)
                 if any(v == 0 for v in values):
                     assert hm is not S.STABLE, (d, p)
+
+    def test_one_table_per_datum(self, monkeypatch):
+        built = {"_one_ps_table": 0, "_cone_table": 0}
+
+        def counting(name):
+            table = getattr(stability, name)
+
+            def wrapper(datum):
+                built[name] += 1
+                return table(datum)
+
+            return wrapper
+
+        for name in built:
+            monkeypatch.setattr(stability, name, counting(name))
+
+        def fresh():
+            return WeightDatum(a=((1, 0), (0, 1), (1, 1)), b=((0, 1), (1, 0), (0, 0)), c=(1, 1))
+
+        d = fresh()
+        build_analysis_report(d)
+        build_analysis_report(d)
+        assert built == {"_one_ps_table": 1, "_cone_table": 1}
+
+        built.update(dict.fromkeys(built, 0))
+        main_theorem_sides(fresh())
+        assert built == {"_one_ps_table": 1, "_cone_table": 0}
+
+        # equal but distinct data each build their own tables, and a table
+        # kept on a datum leaves its equality, hash and repr alone
+        built.update(dict.fromkeys(built, 0))
+        d1, d2 = fresh(), fresh()
+        assert d1 == d2 and d1 is not d2
+        before = repr(d1), hash(d1)
+        for p in ALL_PATTERNS:
+            assert classify_by_one_ps(d1, p) is classify_by_cone(d2, p)
+            assert classify_by_cone(d1, p) is classify_by_one_ps(d2, p)
+        assert built == {"_one_ps_table": 2, "_cone_table": 2}
+        assert d1 == d2 == fresh()
+        assert (repr(d1), hash(d1)) == before == (repr(fresh()), hash(fresh()))
 
 
 class TestFanCondition:

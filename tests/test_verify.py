@@ -33,6 +33,11 @@ class TestTrialConfig:
             TrialConfig(coord_bound=0)
         with pytest.raises(TypeError):  # never truncated to (2, 3, 1)
             TrialConfig(seed=2.9, trials=3.7, coord_bound=1.2)
+        # a truthy string would draw constrained data, and 0 would be
+        # reported as 0, not false
+        for flag in ("no", "", 0, 1, None, 1.0):
+            with pytest.raises(TypeError, match="enforce_constraint must be a bool"):
+                TrialConfig(trials=2, enforce_constraint=flag)
 
     def test_stream_is_reproducible(self):
         cfg = TrialConfig(seed=11, trials=25, coord_bound=9)
