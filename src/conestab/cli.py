@@ -62,12 +62,14 @@ _PATTERN_COLUMNS = tuple(
      p.is_realizable(), p.is_open_pattern())
     for p in ALL_PATTERNS
 )
+# the report string of each verdict, looked up without Enum.value
+_VERDICT_TEXT = {v: v.value for v in StabilityClass}
 # The 64 x 3 rows a report can hold, each with its text indented to its
 # depth in a report; the text is encoded the first time the row is written.
 _ROW_TEXT: dict[tuple, str | None] = dict.fromkeys(
-    (z, w, realizable, in_m, v.value, v.value)
+    (z, w, realizable, in_m, text, text)
     for _, z, w, realizable, in_m in _PATTERN_COLUMNS
-    for v in StabilityClass
+    for text in _VERDICT_TEXT.values()
 )
 
 
@@ -105,17 +107,81 @@ def _pattern_table_text(table) -> str | None:
     return "[\n" + ",\n".join(rows) + "\n  ]" if rows else "[]"
 
 
+_REPORT_KEYS = {"datum", "apex", "star", "star_prime", "r0_trivial", "pattern_table", "hilbert"}
+_DATUM_KEYS = {"A", "B", "C", "constrained"}
+# The dump of an analyze report with %s in place of each value.  In key
+# order the values are apex, the six integers of A and of B, the two of C,
+# constrained, hilbert, the pattern table, r0_trivial, star and star_prime.
+_REPORT_SKELETON = json.dumps(
+    {"datum": {"A": [["%s"] * 2] * 3, "B": [["%s"] * 2] * 3, "C": ["%s"] * 2, "constrained": "%s"},
+     **dict.fromkeys(_REPORT_KEYS - {"datum"}, "%s")},
+    sort_keys=True, indent=2,
+).replace('"%s"', "%s") + "\n"
+_JSON_BOOL = {True: "true", False: "false"}
+
+
+def _report_text(obj: dict) -> str | None:
+    """canonical_json of an analyze report, written from _REPORT_SKELETON,
+    or None unless obj has exactly a report's keys and value types.
+
+    As for a row, 1 == 1.0 == True, so every value must have its exact
+    type before it is spliced: integers, booleans, hilbert as None or a
+    list of integers, and a pattern table that _pattern_table_text takes.
+    """
+    if obj.keys() != _REPORT_KEYS:
+        return None
+    datum = obj["datum"]
+    if type(datum) is not dict or datum.keys() != _DATUM_KEYS:
+        return None
+    a, b = datum["A"], datum["B"]
+    if not (type(a) is list and type(b) is list and len(a) == len(b) == 3):
+        return None
+    numbers = []
+    for v in (*a, *b, datum["C"]):
+        if not (type(v) is list and len(v) == 2 and type(v[0]) is int and type(v[1]) is int):
+            return None
+        numbers += v
+    flags = (obj["apex"], datum["constrained"], obj["r0_trivial"], obj["star"], obj["star_prime"])
+    for x in flags:
+        if type(x) is not bool:
+            return None
+    hilbert = obj["hilbert"]
+    if hilbert is None:
+        hilbert = "null"
+    elif type(hilbert) is list:
+        for x in hilbert:
+            if type(x) is not int:
+                return None
+        hilbert = "[\n    " + ",\n    ".join(map(str, hilbert)) + "\n  ]" if hilbert else "[]"
+    else:
+        return None
+    table = _pattern_table_text(obj["pattern_table"])
+    if table is None:
+        return None
+    apex, constrained, r0_trivial, star, star_prime = map(_JSON_BOOL.__getitem__, flags)
+    return _REPORT_SKELETON % (apex, *numbers, constrained, hilbert, table,
+                               r0_trivial, star, star_prime)
+
+
 def canonical_json(obj) -> str:
     """``json.dumps(obj, sort_keys=True, indent=2)`` plus a newline.
 
     The indenting encoder runs in pure Python, so a report's 64-row
     pattern table would dominate the cost.  A report's rows are among the
-    192 of _ROW_TEXT; each is encoded once, by ``json.dumps`` itself, and
-    spliced into the dump of the rest of the payload in place of a
-    placeholder string.  Any other payload is dumped whole.  Either way
-    the bytes are those of ``json.dumps``.
+    192 of _ROW_TEXT; each is encoded once, by ``json.dumps`` itself.  An
+    analyze report, with exactly its seven keys and its value types, is
+    written from a fixed skeleton, the dump of a report with a slot for
+    each value, with the datum's integers, the five flags, ``hilbert`` and
+    the encoded rows spliced in.  Any other payload holding a pattern table
+    that _pattern_table_text takes, such as a biquotient report, gets the
+    encoded rows spliced into the dump of the rest of it in place of a
+    placeholder string.  Any other payload is dumped whole.  Every way the
+    bytes are those of ``json.dumps``.
     """
     if type(obj) is dict and "pattern_table" in obj:
+        text = _report_text(obj)
+        if text is not None:
+            return text
         table = _pattern_table_text(obj["pattern_table"])
         if table is not None:
             text = json.dumps({**obj, "pattern_table": _PLACEHOLDER}, sort_keys=True, indent=2)
@@ -251,10 +317,12 @@ class AnalysisReport:
                     "w_support": list(w),
                     "realizable": realizable,
                     "in_M": in_m,
-                    "class_hm": verdict.value,
-                    "class_cone": verdict.value,
+                    "class_hm": text,
+                    "class_cone": text,
                 }
-                for (_, z, w, realizable, in_m), verdict in zip(_PATTERN_COLUMNS, self.verdicts)
+                for (_, z, w, realizable, in_m), text in zip(
+                    _PATTERN_COLUMNS, map(_VERDICT_TEXT.__getitem__, self.verdicts)
+                )
             ],
             "hilbert": self.hilbert,
         }

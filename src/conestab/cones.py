@@ -129,7 +129,8 @@ def strictly_separates(vectors: Iterable[Vec2]) -> Vec2 | None:
     would widen it to a half-plane.  A narrower wedge is strictly
     separated by perp(lo) - perp(hi), the sum of its inward normals, or by
     lo when it is a single ray.  The answer is verified before it is
-    returned.  This is the dual side of ``positive_relation``.
+    returned, by a check that raises AssertionError even under
+    ``python -O``.  This is the dual side of ``positive_relation``.
     """
     vs = [as_vec2(v) for v in vectors]
     if not vs:
@@ -147,7 +148,8 @@ def strictly_separates(vectors: Iterable[Vec2]) -> Vec2 | None:
             return None
     p, q = perp(lo), perp(hi)
     alpha = lo if cross(lo, hi) == 0 else (p[0] - q[0], p[1] - q[1])
-    assert all(dot(v, alpha) > 0 for v in vs), (alpha, vs)
+    if not all(dot(v, alpha) > 0 for v in vs):
+        raise AssertionError("strictly_separates: the separator fails on an input")
     return alpha
 
 

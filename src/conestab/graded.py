@@ -201,7 +201,8 @@ def find_invariant_monomial(datum: WeightDatum) -> Monomial | None:
 
     Its exponents are the first nonnegative relation among the six weights
     that ``positive_relation`` finds, divided by their gcd.  The witness
-    weight is re-verified before returning.
+    weight is re-verified before returning, by a check that raises
+    AssertionError even under ``python -O``.
     """
     coeffs = positive_relation(datum.weights())
     if coeffs is None:
@@ -211,5 +212,8 @@ def find_invariant_monomial(datum: WeightDatum) -> Monomial | None:
     for i, e in coeffs.items():
         exps[i] = e // g
     m = Monomial(z_exp=tuple(exps[:3]), w_exp=tuple(exps[3:]))
-    assert m.weight(datum) == ZERO and not m.is_constant()
+    if m.weight(datum) != ZERO or m.is_constant():
+        raise AssertionError(
+            "find_invariant_monomial: the witness is not a nonconstant invariant monomial"
+        )
     return m

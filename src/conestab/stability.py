@@ -26,12 +26,10 @@ from conestab.cones import (
     Cone2,
     Vec2,
     ZERO,
+    _in_pair_cone,
     as_vec2,
-    cross,
     dot,
-    neg,
     on_ray,
-    perp,
     positive_relation,
 )
 
@@ -107,9 +105,11 @@ class WeightDatum:
     the waiver is recorded on the instance.  The character weight c must be
     nonzero throughout: linearising by the trivial character is excluded.
 
-    Each classifier's table of datum-level facts is built on first use and
-    kept on the datum (``_one_ps_masks``, ``_cone_masks``); neither is a
-    field, so equality, hash and repr ignore both.
+    Each classifier's verdicts on all 64 patterns are built on first use
+    and kept on the datum as two 64-bit pattern bitsets, semistable and
+    stable, where bit m stands for the pattern whose ``_mask`` is m
+    (``_one_ps_bits``, ``_cone_bits``); neither is a field, so equality,
+    hash and repr ignore both.
     """
 
     a: tuple[Vec2, Vec2, Vec2]
@@ -157,11 +157,11 @@ class WeightDatum:
         ]
 
     @cached_property
-    def _one_ps_masks(self) -> tuple[tuple[int, ...], ...]:
+    def _one_ps_bits(self) -> tuple[int, int]:
         return _one_ps_table(self)
 
     @cached_property
-    def _cone_masks(self) -> tuple[tuple[int, ...], ...]:
+    def _cone_bits(self) -> tuple[int, int]:
         return _cone_table(self)
 
 
@@ -187,31 +187,64 @@ def hm_weight(datum: WeightDatum, pattern: SupportPattern, alpha) -> int:
     return -min(entries)
 
 
-def _one_ps_table(datum: WeightDatum) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Candidate one-parameter subgroups of the datum, as dual masks.
+# Bit m of a pattern bitset stands for the pattern whose _mask is m.
+_ALL_BITS = (1 << 64) - 1
+# A pattern's class by the number of the semistable and stable bitsets holding it.
+_BY_RANK = (StabilityClass.UNSTABLE, StabilityClass.STRICTLY_SEMISTABLE, StabilityClass.STABLE)
 
-    The candidates are -c and the +-90 degree rotations of every nonzero
-    weight and of c.  Returns the masks of weights pairing nonnegatively
-    with a candidate alpha, split into those with <c, alpha> < 0
-    (destabilizing once the supported weights lie in the mask) and those
-    with <c, alpha> == 0 (a vanishing Hilbert-Mumford weight).  Candidates
-    with <c, alpha> > 0 witness neither: the entry -<c, alpha> of the
-    weight is then negative, whatever the supported weights pair to.
+
+def _submask_bits() -> tuple[int, ...]:
+    """Entry d is the bitset of the submasks of d: those of d without its
+    lowest bit, each also with that bit added."""
+    table = [1]
+    for d in range(1, 64):
+        rest = table[d & (d - 1)]
+        table.append(rest | rest << (d & -d))
+    return tuple(table)
+
+
+_SUBMASK_BITS = _submask_bits()
+
+
+def _one_ps_table(datum: WeightDatum) -> tuple[int, int]:
+    """The semistable and the stable patterns of the datum, as bitsets.
+
+    The candidate one-parameter subgroups are -c and the +-90 degree
+    rotations of every nonzero weight and of c.  The dual mask of a
+    candidate alpha holds the weights pairing nonnegatively with it.  With
+    <c, alpha> < 0 it destabilizes every pattern within its dual mask; with
+    <c, alpha> == 0 it gives each of them a vanishing Hilbert-Mumford
+    weight.  Candidates with <c, alpha> > 0 witness neither: the entry
+    -<c, alpha> of the weight is then negative, whatever the supported
+    weights pair to.  A weight w pairs with the rotation (-y, x) of
+    v = (x, y) to the cross product of v and w.
     """
     ws = datum.weights()
-    c = datum.c
-    candidates = [neg(c)]
-    for v in ws + (c,):
-        if v != ZERO:
-            q = perp(v)
-            candidates += (q, neg(q))
-    destabilizing, null = set(), set()
-    for alpha in candidates:
-        pairing = dot(c, alpha)
-        if pairing <= 0:
-            mask = sum(1 << k for k, v in enumerate(ws) if dot(v, alpha) >= 0)
-            (destabilizing if pairing < 0 else null).add(mask)
-    return tuple(destabilizing), tuple(null)
+    cx, cy = datum.c
+    mask = 0
+    for k, (x, y) in enumerate(ws):
+        if x * cx + y * cy <= 0:
+            mask |= 1 << k
+    unstable = _SUBMASK_BITS[mask]  # alpha = -c, and <c, -c> < 0
+    null = 0
+    for vx, vy in ws + (datum.c,):
+        if not (vx or vy):
+            continue
+        left = right = 0  # the dual masks of (-vy, vx) and of (vy, -vx)
+        for k, (x, y) in enumerate(ws):
+            side = vx * y - vy * x
+            if side >= 0:
+                left |= 1 << k
+            if side <= 0:
+                right |= 1 << k
+        pairing = vx * cy - vy * cx  # <c, (-vy, vx)>
+        if pairing < 0:
+            unstable |= _SUBMASK_BITS[left]
+        elif pairing > 0:
+            unstable |= _SUBMASK_BITS[right]
+        else:
+            null |= _SUBMASK_BITS[left] | _SUBMASK_BITS[right]
+    return _ALL_BITS ^ unstable, _ALL_BITS ^ (unstable | null)
 
 
 def classify_by_one_ps(datum: WeightDatum, pattern: SupportPattern) -> StabilityClass:
@@ -230,51 +263,75 @@ def classify_by_one_ps(datum: WeightDatum, pattern: SupportPattern) -> Stability
     Stable otherwise.
 
     The candidates are taken once per datum, from all six weights rather
-    than the supported ones (``_one_ps_table``).  That cannot create a
-    false verdict: every candidate is a genuine direction, checked against
-    exactly the supported weights, and the candidates of the pattern are a
-    subset of those of the datum.  The randomized harness double-checks
-    the reduction against a dense sweep.
+    than the supported ones, and turned into two bitsets over the 64
+    patterns, the semistable and the stable ones (``_one_ps_table``); a
+    verdict is then two bit tests.  That cannot create a false verdict:
+    every candidate is a genuine direction, checked against exactly the
+    supported weights, and the candidates of the pattern are a subset of
+    those of the datum.  The randomized harness double-checks the
+    reduction against a dense sweep.
     """
-    destabilizing, null = datum._one_ps_masks
+    semistable, stable = datum._one_ps_bits
     m = pattern._mask
-    for mask in destabilizing:
-        if m & mask == m:
-            return StabilityClass.UNSTABLE
-    for mask in null:
-        if m & mask == m:
-            return StabilityClass.STRICTLY_SEMISTABLE
-    return StabilityClass.STABLE
+    return _BY_RANK[(semistable >> m & 1) + (stable >> m & 1)]
 
 
-def _cone_table(datum: WeightDatum) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
-    """Datum-level cone facts, as masks of weights.
+def _cone_bit_tables() -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Entry m of the first table is the bitset of the masks containing m:
+    those containing m and its lowest missing bit, each also without that
+    bit.  Entry d of the second is the bitset of the masks with a weight
+    outside d, the union of the first table's entries for those weights."""
+    up = [0] * 64
+    up[63] = 1 << 63
+    for m in range(62, -1, -1):
+        bit = ~m & (m + 1)
+        above = up[m | bit]
+        up[m] = above | above >> bit
+    outside = [0] * 64
+    for d in range(62, -1, -1):
+        bit = ~d & (d + 1)
+        outside[d] = outside[d | bit] | up[bit]
+    return tuple(up), tuple(outside)
 
-    Returns the single weights and weight pairs whose cone contains c, the
-    pairs that span the plane, and the dual masks (weights pairing
-    nonnegatively) of the +-90 degree rotations alpha of every nonzero
-    weight and of c with <c, alpha> <= 0.
+
+_SUPERMASK_BITS, _ESCAPING_BITS = _cone_bit_tables()
+
+
+def _cone_table(datum: WeightDatum) -> tuple[int, int]:
+    """The semistable and the stable patterns of the datum, as bitsets.
+
+    Semistable are the patterns containing a single weight or a weight pair
+    whose cone holds c.  Stable are those that also contain a pair spanning
+    the plane and escape the dual mask (the weights pairing nonnegatively)
+    of every +-90 degree rotation alpha of a nonzero weight or of c with
+    <c, alpha> <= 0.
     """
     ws = datum.weights()
     c = datum.c
-    n = len(ws)
-    containing = [1 << i for i in range(n) if on_ray(ws[i], c)]
-    spanning = []
-    for i in range(n):
-        for j in range(i + 1, n):
+    cx, cy = c
+    semistable = spanning = 0
+    for i in range(6):
+        u = ws[i]
+        if on_ray(u, c):
+            semistable |= _SUPERMASK_BITS[1 << i]
+        for j in range(i + 1, 6):
+            v = ws[j]
             pair = 1 << i | 1 << j
-            if Cone2((ws[i], ws[j])).contains(c):
-                containing.append(pair)
-            if cross(ws[i], ws[j]) != 0:
-                spanning.append(pair)
-    dual = set()
-    for v in ws + (c,):
-        if v != ZERO:
-            q = perp(v)
-            for alpha in (q, neg(q)):
-                if dot(c, alpha) <= 0:
-                    dual.add(sum(1 << k for k, u in enumerate(ws) if dot(u, alpha) >= 0))
-    return tuple(containing), tuple(spanning), tuple(dual)
+            if _in_pair_cone(u, v, c):
+                semistable |= _SUPERMASK_BITS[pair]
+            if u[0] * v[1] != u[1] * v[0]:
+                spanning |= _SUPERMASK_BITS[pair]
+    free = _ALL_BITS
+    for vx, vy in ws + (c,):
+        if vx or vy:
+            for ax, ay in ((-vy, vx), (vy, -vx)):
+                if cx * ax + cy * ay <= 0:
+                    dual = 0
+                    for k, (x, y) in enumerate(ws):
+                        if x * ax + y * ay >= 0:
+                            dual |= 1 << k
+                    free &= _ESCAPING_BITS[dual]
+    return semistable, semistable & spanning & free
 
 
 def classify_by_cone(datum: WeightDatum, pattern: SupportPattern) -> StabilityClass:
@@ -289,29 +346,19 @@ def classify_by_cone(datum: WeightDatum, pattern: SupportPattern) -> StabilityCl
     one exists among the rotations of the supported weights and of c.
 
     The cones and the directions are examined once per datum, over all six
-    weights (``_cone_table``).  That cannot create a false verdict: every
-    listed cone and direction is genuine, a pattern uses only the cones of
-    its supported weights and checks each direction against exactly its
-    supported weights, and the directions of the pattern are a subset of
-    those of the datum.  Implemented purely with cone primitives;
-    ``classify_by_one_ps`` re-derives the same verdicts independently.
+    weights, and turned into two bitsets over the 64 patterns, the
+    semistable and the stable ones (``_cone_table``); a verdict is then two
+    bit tests.  That cannot create a false verdict: every listed cone and
+    direction is genuine, a pattern uses only the cones of its supported
+    weights and checks each direction against exactly its supported
+    weights, and the directions of the pattern are a subset of those of the
+    datum.  Implemented purely with cone primitives and its own bitset
+    tables; ``classify_by_one_ps`` re-derives the same verdicts
+    independently.
     """
-    containing, spanning, dual = datum._cone_masks
+    semistable, stable = datum._cone_bits
     m = pattern._mask
-    for mask in containing:
-        if mask & m == mask:
-            break
-    else:
-        return StabilityClass.UNSTABLE
-    for mask in spanning:
-        if mask & m == mask:
-            break
-    else:
-        return StabilityClass.STRICTLY_SEMISTABLE
-    for mask in dual:
-        if m & mask == m:
-            return StabilityClass.STRICTLY_SEMISTABLE
-    return StabilityClass.STABLE
+    return _BY_RANK[(semistable >> m & 1) + (stable >> m & 1)]
 
 
 def fan_condition(datum: WeightDatum) -> bool:

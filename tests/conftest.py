@@ -7,12 +7,21 @@ with coordinates bounded by b the scans are complete once the direction
 box reaches 2b (a separating or separating-strictly direction can always
 be chosen as a rotation of an input vector or a sum of two of them), so
 the oracles are exact on the bounded data the tests feed them.
+
+The reference verdicts at the end are of another kind: they keep the
+classifiers' per-pattern scans of weight masks, built from the cone
+primitives, against which the pattern bitsets are checked.
 """
 
 from fractions import Fraction
 from itertools import product
 
-from conestab.cones import dot
+from conestab.cones import Cone2, ZERO, cross, dot, neg, on_ray, perp
+from conestab.stability import (
+    ALL_PATTERNS,
+    StabilityClass,
+    classify_by_one_ps,
+)
 from conestab.verify import TrialConfig, random_datum
 
 
@@ -74,3 +83,61 @@ def oracle_contains(gens, p):
 
 def random_test_datum(rng, bound=8, constrained=True):
     return random_datum(TrialConfig(coord_bound=bound, enforce_constraint=constrained), rng)
+
+
+def _dual_mask(ws, alpha):
+    return sum(1 << k for k, v in enumerate(ws) if dot(v, alpha) >= 0)
+
+
+def reference_verdicts(datum):
+    """Both classifiers' verdicts on ALL_PATTERNS, by scanning each
+    pattern's mask against lists of weight masks.
+
+    This is the form the pattern bitsets replaced.  One-ps: a pattern
+    within a destabilizing dual mask is unstable, else within a null one
+    strictly semistable, else stable.  Cone: a pattern holding no weight or
+    pair whose cone contains c is unstable, else one holding no spanning
+    pair or lying within a dual mask is strictly semistable.
+    """
+    ws, c = datum.weights(), datum.c
+    rotations = [alpha for v in ws + (c,) if v != ZERO for alpha in (perp(v), neg(perp(v)))]
+    destabilizing = [_dual_mask(ws, a) for a in [neg(c)] + rotations if dot(c, a) < 0]
+    null = [_dual_mask(ws, a) for a in rotations if dot(c, a) == 0]
+    dual = [_dual_mask(ws, a) for a in rotations if dot(c, a) <= 0]
+    pairs = [(i, j) for i in range(6) for j in range(i + 1, 6)]
+    containing = [1 << i for i in range(6) if on_ray(ws[i], c)] + [
+        1 << i | 1 << j for i, j in pairs if Cone2((ws[i], ws[j])).contains(c)
+    ]
+    spanning = [1 << i | 1 << j for i, j in pairs if cross(ws[i], ws[j]) != 0]
+    S = StabilityClass
+    one_ps, cone = [], []
+    for p in ALL_PATTERNS:
+        m = p._mask
+        if any(m & d == m for d in destabilizing):
+            one_ps.append(S.UNSTABLE)
+        elif any(m & d == m for d in null):
+            one_ps.append(S.STRICTLY_SEMISTABLE)
+        else:
+            one_ps.append(S.STABLE)
+        if not any(s & m == s for s in containing):
+            cone.append(S.UNSTABLE)
+        elif not any(s & m == s for s in spanning) or any(m & d == m for d in dual):
+            cone.append(S.STRICTLY_SEMISTABLE)
+        else:
+            cone.append(S.STABLE)
+    return one_ps, cone
+
+
+def pattern_level_equality(datum):
+    """Stable locus == semistable locus == open locus, read off the patterns
+    one at a time: the loop form of main_theorem_sides' right-hand side."""
+    for s in ALL_PATTERNS:
+        if not s.is_realizable():
+            continue
+        verdict = classify_by_one_ps(datum, s)
+        if s.is_open_pattern():
+            if verdict is not StabilityClass.STABLE:
+                return False
+        elif verdict.semistable:
+            return False
+    return True

@@ -767,14 +767,43 @@ _ODD_VALUES = st.sampled_from(
 )
 
 
+_FLAGS = [("apex",), ("star",), ("star_prime",), ("r0_trivial",), ("datum", "constrained")]
+
+
 @st.composite
 def odd_payload(draw):
-    """A real payload with one value replaced, one key added to a row, or
-    the splice placeholder stored outside the pattern table."""
+    """A real payload with one value replaced, one key added to a row, the
+    splice placeholder stored outside the pattern table, or one field
+    outside the table corrupted: a datum integer, a flag, hilbert, or a
+    datum key added or removed."""
     payload = draw(report_payload())
     rows = payload["pattern_table"]
-    where = draw(st.sampled_from(["row-value", "row-key", "placeholder", "table"]))
-    if where == "row-value" and rows:
+    where = draw(st.sampled_from(
+        ["row-value", "row-key", "placeholder", "table", "integer", "flag", "hilbert",
+         "datum-key"]
+    ))
+    datum = payload["datum"]
+    if where == "integer":
+        # an integer of A, B or C, or a whole vector of A or B
+        key = draw(st.sampled_from("ABC"))
+        holder = datum if key == "C" else datum[key]
+        if key == "C" or draw(st.booleans()):
+            holder = holder[key] if key == "C" else holder[draw(st.integers(0, 2))]
+            index = draw(st.integers(0, 1))
+        else:
+            index = draw(st.integers(0, 2))
+        holder[index] = draw(st.sampled_from([True, 1.0, "1", [1]]))
+    elif where == "flag":
+        *path, key = draw(st.sampled_from(_FLAGS))
+        (datum if path else payload)[key] = draw(st.sampled_from([1, None]))
+    elif where == "hilbert":
+        payload["hilbert"] = draw(st.sampled_from([[1.0], [True], (1,), 0]))
+    elif where == "datum-key":
+        if draw(st.booleans()):
+            datum[draw(st.sampled_from(["note", "D", "a"]))] = draw(_ODD_VALUES)
+        else:
+            del datum[draw(st.sampled_from(sorted(datum)))]
+    elif where == "row-value" and rows:
         row = rows[draw(st.integers(0, len(rows) - 1))]
         row[draw(st.sampled_from(sorted(row)))] = draw(_ODD_VALUES)
     elif where == "row-key" and rows:
@@ -818,6 +847,16 @@ class TestCanonicalJson:
                 odd.append(dict(payload, pattern_table=[dict(row, **{key: value})]))
         for p in odd + [payload] + odd:
             assert canonical_json(p) == reference_json(p)
+
+    def test_analyze_reports_are_written_from_the_skeleton(self):
+        d = flag_datum()
+        for nmax in (None, 0, 3):
+            payload = build_analysis_report(d, nmax=nmax).as_dict()
+            assert cli._report_text(payload) == reference_json(payload)
+        payload["hilbert"] = []
+        assert cli._report_text(payload) == reference_json(payload)
+        payload["biquotient"] = {"star_hypothesis": True}
+        assert cli._report_text(payload) is None
 
     def test_other_payloads_match_json_dumps(self):
         for payload in (

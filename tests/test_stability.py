@@ -27,7 +27,7 @@ from conestab.stability import (
 )
 from conestab.verify import main_theorem_sides
 
-from conftest import random_test_datum
+from conftest import pattern_level_equality, random_test_datum, reference_verdicts
 
 S = StabilityClass
 
@@ -298,6 +298,37 @@ class TestDirectionTables:
                 if any(v == 0 for v in values):
                     assert hm is not S.STABLE, (d, p)
 
+    def test_bitsets_match_mask_scans(self):
+        """Every verdict read off either classifier's bitsets equals the scan
+        of that pattern's mask against the datum's mask lists, and
+        main_theorem_sides equals its loop form, on random data at bounds
+        1, 2, 20 and 10^18 in both constraint regimes and on variants of
+        each with a zero, an equal, an opposite or a collinear weight."""
+        rng = random.Random(1618)
+        data = []
+        for i in range(2000):
+            d = random_test_datum(
+                rng, bound=(1, 2, 20, 10**18)[i % 4], constrained=i % 8 < 4
+            )
+            a1 = d.a[0]
+            k = rng.choice([2, 3, -2])
+            data += [
+                d,
+                (
+                    WeightDatum(a=((0, 0),) + d.a[1:], b=d.b, c=d.c, constrained=False),
+                    WeightDatum(a=(a1, a1, d.a[2]), b=d.b, c=d.c, constrained=False),
+                    WeightDatum(a=d.a, b=((-a1[0], -a1[1]),) + d.b[1:], c=d.c,
+                                constrained=False),
+                    WeightDatum(a=d.a, b=((k * a1[0], k * a1[1]),) + d.b[1:],
+                                c=(a1 if a1 != (0, 0) else d.c), constrained=False),
+                )[i % 4],
+            ]
+        for d in data:
+            one_ps, cone = reference_verdicts(d)
+            assert [classify_by_one_ps(d, p) for p in ALL_PATTERNS] == one_ps, d
+            assert [classify_by_cone(d, p) for p in ALL_PATTERNS] == cone, d
+            assert main_theorem_sides(d) == (fan_condition(d), pattern_level_equality(d)), d
+
     def test_one_table_per_datum(self, monkeypatch):
         built = {"_one_ps_table": 0, "_cone_table": 0}
 
@@ -366,20 +397,6 @@ class TestFanCondition:
             for _ in range(400):
                 d = random_test_datum(rng, bound=6, constrained=constrained)
                 assert fan_condition(d) == fan_condition_membership(d), d
-
-
-def pattern_level_equality(datum):
-    """Stable locus == semistable locus == open locus, read off the patterns."""
-    for s in ALL_PATTERNS:
-        if not s.is_realizable():
-            continue
-        verdict = classify_by_one_ps(datum, s)
-        if s.is_open_pattern():
-            if verdict is not S.STABLE:
-                return False
-        elif verdict.semistable:
-            return False
-    return True
 
 
 class TestMainEquivalence:

@@ -6,8 +6,16 @@ import random
 import pytest
 
 from conestab import verify
-from conestab.cones import neg
-from conestab.stability import ALL_PATTERNS, StabilityClass, WeightDatum, flag_datum, hm_weight
+from conestab.cones import Cone2, neg
+from conestab.stability import (
+    ALL_PATTERNS,
+    StabilityClass,
+    WeightDatum,
+    classify_by_cone,
+    classify_by_one_ps,
+    flag_datum,
+    hm_weight,
+)
 from conestab.verify import (
     VERIFY_SUITES,
     MomentValue,
@@ -106,6 +114,32 @@ class TestMainTheoremSuite:
             constrained=False,
         )
         assert main_theorem_sides(d) == (False, False)
+
+    def test_sides_differ_without_constant_sums(self):
+        """Outside the theorem's hypothesis: the sums a_i + b_i differ, every
+        mixed pair cone holds c in its interior, the weights have no apex,
+        and the loci still agree.  The first disagreement of
+        ``verify main-theorem --no-constraint --seed 1 --trials 2000``."""
+        d = WeightDatum(
+            a=((15, -6), (5, -2), (19, 2)),
+            b=((7, -20), (-18, -4), (-13, 1)),
+            c=(12, -12),
+            constrained=False,
+        )
+        assert all(
+            Cone2((d.a[i], d.b[j])).interior_contains(d.c)
+            for i in range(3) for j in range(3) if i != j
+        )
+        assert not Cone2(d.weights()).has_apex()
+        assert main_theorem_sides(d) == (False, True)
+        assert [classify_by_one_ps(d, p) for p in ALL_PATTERNS] == [
+            classify_by_cone(d, p) for p in ALL_PATTERNS
+        ]
+        report = verify_main_theorem(
+            TrialConfig(seed=1, trials=2000, enforce_constraint=False)
+        )
+        assert report.disagreements == 2
+        assert report.first_failure == f"fan=False but pattern-level equality=True for {d!r}"
 
     @pytest.mark.parametrize("constrained", [True, False])
     def test_random_batch_passes(self, constrained):
