@@ -25,6 +25,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass
+from operator import attrgetter
 
 from conestab.cones import ZERO, Cone2
 from conestab.graded import hilbert_table
@@ -62,14 +63,12 @@ _PATTERN_COLUMNS = tuple(
      p.is_realizable(), p.is_open_pattern())
     for p in ALL_PATTERNS
 )
-# the report string of each verdict, looked up without Enum.value
-_VERDICT_TEXT = {v: v.value for v in StabilityClass}
 # The 64 x 3 rows a report can hold, each with its text indented to its
 # depth in a report; the text is encoded the first time the row is written.
 _ROW_TEXT: dict[tuple, str | None] = dict.fromkeys(
     (z, w, realizable, in_m, text, text)
     for _, z, w, realizable, in_m in _PATTERN_COLUMNS
-    for text in _VERDICT_TEXT.values()
+    for text in (v.value for v in StabilityClass)
 )
 
 
@@ -320,8 +319,9 @@ class AnalysisReport:
                     "class_hm": text,
                     "class_cone": text,
                 }
+                # _value_ is a plain attribute; Enum.value is a Python-level property
                 for (_, z, w, realizable, in_m), text in zip(
-                    _PATTERN_COLUMNS, map(_VERDICT_TEXT.__getitem__, self.verdicts)
+                    _PATTERN_COLUMNS, map(attrgetter("_value_"), self.verdicts)
                 )
             ],
             "hilbert": self.hilbert,

@@ -16,6 +16,7 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import repeat
 from math import gcd
 from operator import index as _as_int
 
@@ -66,9 +67,10 @@ class Monomial:
 # as the DP runs; a table whose count passes this cap is refused with a
 # ValueError.  The flag table to degree 40 counts 6,682, as does the flag
 # with every weight and C scaled by any factor, and every table the tests,
-# the demos and the benchmark ask for stays below 10,000.  Near the cap a
-# table took 0.4-1.1 s and under 100 MB on a 2-core Xeon, and a refused
-# table runs until its count passes the cap.
+# the demos and the benchmark ask for stays below 10,000.  On a 2-core
+# Xeon, ten tables counting 200,000-250,000 took 0.08-0.28 s of CPU and
+# at most 39 MB of Python allocations at their peak, and a refused table
+# runs until its count passes the cap.
 MAX_TABLE_WORK = 250_000
 
 # Tables are memoised per (datum, n_max) in a small cache only so that
@@ -91,13 +93,24 @@ def _table(datum: WeightDatum, n_max: int) -> tuple[int, ...]:
     f pairs strictly positively with every weight, so every partial sum x
     of an exponent vector of weight n c satisfies f.x <= n_max f.c, the
     budget.  The partial sums over the first five weights are tabulated
-    once under the budget as {point: count}; P(t) is then the sum of the
+    once under the budget as {key: count}; P(t) is then the sum of the
     counts at t, t - l, t - 2 l, ... for the last weight l, walked back
     from t = n c and from t = n c - a_1 - b_1 at every degree n.  The
     walk-back steps are counted before the DP and each new state as the DP
     makes it; the moment the count passes MAX_TABLE_WORK, ValueError.
     Without f the degree-0 invariants are nontrivial: ValueError naming a
     witness.
+
+    A point p is keyed by the integer (f.p) S + g.p + span, where g.p is
+    the second coordinate of p when f_0 != 0 and the first otherwise, so f
+    and g are independent.  Every point the DP writes or reads is
+    n c + sum_w m_w w with 0 <= n <= n_max and |m_w| <= budget // f.w + 1:
+    a state, a state plus or minus one weight, a target n c or
+    n c - a_1 - b_1, and a target less at most budget // f.l steps of l.
+    So |g.p| <= span = n_max |g.c| + sum_w |g.w| (budget // f.w + 1), and
+    with S = 2 span + 1 each key names one point, numeric order is f-order,
+    a step of w adds (f.w) S + g.w, and f.p <= budget iff the key is below
+    (budget + 1) S.
     """
     ws = datum.weights()
     f = strictly_separates(ws)
@@ -123,37 +136,42 @@ def _table(datum: WeightDatum, n_max: int) -> tuple[int, ...]:
     left = MAX_TABLE_WORK - (n_max + 1) * (2 * last + budget) // last
     if left < 0:
         raise _past_cap()
-    counts = {ZERO: 1}
-    for wx, wy in ws[:-1]:
-        step = f0 * wx + f1 * wy
-        grown: dict[Vec2, int] = {}
+    g = 1 if f0 else 0  # g.p is p[g]
+    span = n_max * abs(datum.c[g]) + sum(
+        abs(w[g]) * (budget // (f0 * w[0] + f1 * w[1]) + 1) for w in ws
+    )
+    size = 2 * span + 1
+    end = (budget + 1) * size
+    counts = {span: 1}
+    for w in ws[:-1]:
+        step = (f0 * w[0] + f1 * w[1]) * size + w[g]
+        grown: dict[int, int] = {}
         # Each count is added along its chain p, p + w, p + 2 w, ... under
         # the budget.  In order of f-value, the running sum at p - w is
         # final before p is read, and the walk forward from p stops at the
         # next tabulated point, which carries the sum on.
-        for p in sorted(counts, key=lambda p: f0 * p[0] + f1 * p[1]):
-            x, y = p
-            n = counts[p] + grown.get((x - wx, y - wy), 0)
-            grown[p] = n
-            room = budget - f0 * x - f1 * y - step
-            while room >= 0:
-                x += wx
-                y += wy
-                if (x, y) in counts:
+        for q in sorted(counts):
+            n = counts[q] + grown.get(q - step, 0)
+            grown[q] = n
+            q += step
+            while q < end:
+                if q in counts:
                     break
                 left -= 1
                 if left < 0:
                     raise _past_cap()
-                grown[x, y] = n
-                room -= step
+                grown[q] = n
+                q += step
         counts = grown
+
+    back = last * size + ws[-1][g]
 
     def partitions(x: int, y: int) -> int:
         # a negative f-value walks no steps
-        return sum(
-            counts.get((x - k * lx, y - k * ly), 0)
-            for k in range((f0 * x + f1 * y) // last + 1)
-        )
+        ft = f0 * x + f1 * y
+        k = ft // last + 1
+        t = ft * size + (x, y)[g] + span
+        return sum(map(counts.get, range(t, t - k * back, -back), repeat(0)))
 
     (cx, cy), (a1, b1) = datum.c, (datum.a[0], datum.b[0])
     sx, sy = a1[0] + b1[0], a1[1] + b1[1]

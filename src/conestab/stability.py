@@ -301,26 +301,25 @@ def _cone_table(datum: WeightDatum) -> tuple[int, int]:
     """The semistable and the stable patterns of the datum, as bitsets.
 
     Semistable are the patterns containing a single weight or a weight pair
-    whose cone holds c.  Stable are those that also contain a pair spanning
-    the plane and escape the dual mask (the weights pairing nonnegatively)
-    of every +-90 degree rotation alpha of a nonzero weight or of c with
-    <c, alpha> <= 0.
+    whose cone holds c.  Stable are those that also escape the dual mask
+    (the weights pairing nonnegatively) of every +-90 degree rotation alpha
+    of a nonzero weight or of c with <c, alpha> <= 0.  That covers the
+    spanning condition of ``classify_by_cone``: a semistable pattern whose
+    supported weights do not span the plane holds c on their line, so the
+    rotation of one supported weight pairs to 0 with c and with all of
+    them, and its dual mask holds the pattern.
     """
     ws = datum.weights()
     c = datum.c
     cx, cy = c
-    semistable = spanning = 0
+    semistable = 0
     for i in range(6):
         u = ws[i]
         if on_ray(u, c):
             semistable |= _SUPERMASK_BITS[1 << i]
         for j in range(i + 1, 6):
-            v = ws[j]
-            pair = 1 << i | 1 << j
-            if _in_pair_cone(u, v, c):
-                semistable |= _SUPERMASK_BITS[pair]
-            if u[0] * v[1] != u[1] * v[0]:
-                spanning |= _SUPERMASK_BITS[pair]
+            if _in_pair_cone(u, ws[j], c):
+                semistable |= _SUPERMASK_BITS[1 << i | 1 << j]
     free = _ALL_BITS
     for vx, vy in ws + (c,):
         if vx or vy:
@@ -331,7 +330,7 @@ def _cone_table(datum: WeightDatum) -> tuple[int, int]:
                         if x * ax + y * ay >= 0:
                             dual |= 1 << k
                     free &= _ESCAPING_BITS[dual]
-    return semistable, semistable & spanning & free
+    return semistable, semistable & free
 
 
 def classify_by_cone(datum: WeightDatum, pattern: SupportPattern) -> StabilityClass:
@@ -387,18 +386,19 @@ def fan_condition_membership(datum: WeightDatum) -> bool:
     True iff the character weight lies in cone(a_i, b_j) for all i, j
     (including i = j) and in no cone(a_i, a_j) or cone(b_i, b_j).  The two
     formulations are provably equivalent; keeping both makes the
-    equivalence testable.
+    equivalence testable.  Each distinct cone is tested once: cone(v, v)
+    is the ray of v, and cone(v_i, v_j) = cone(v_j, v_i).
     """
     c = datum.c
-    for i in range(3):
-        for j in range(3):
-            if Cone2((datum.a[i], datum.a[j])).contains(c):
+    for block in (datum.a, datum.b):
+        for i in range(3):
+            u = block[i]
+            if on_ray(u, c):
                 return False
-            if Cone2((datum.b[i], datum.b[j])).contains(c):
-                return False
-            if not Cone2((datum.a[i], datum.b[j])).contains(c):
-                return False
-    return True
+            for j in range(i + 1, 3):
+                if _in_pair_cone(u, block[j], c):
+                    return False
+    return all(_in_pair_cone(u, v, c) for u in datum.a for v in datum.b)
 
 
 def r0_is_trivial(datum: WeightDatum) -> bool:

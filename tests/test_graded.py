@@ -6,7 +6,7 @@ from itertools import product
 import pytest
 
 from conestab import graded
-from conestab.cones import dot, strictly_separates
+from conestab.cones import Cone2, dot, strictly_separates
 from conestab.graded import (
     MAX_TABLE_WORK,
     Monomial,
@@ -165,6 +165,89 @@ def trivial_data(rng, count):
     return data
 
 
+def mapped(d, m):
+    """The datum with every weight and C multiplied by the integer matrix m.
+
+    For invertible m, an exponent vector has weight n c for d exactly when
+    it has weight n m c for the image, so both have the same graded
+    dimensions."""
+    (p, q), (r, s) = m
+    return WeightDatum(
+        a=tuple((p * x + q * y, r * x + s * y) for x, y in d.a),
+        b=tuple((p * x + q * y, r * x + s * y) for x, y in d.b),
+        c=(p * d.c[0] + q * d.c[1], r * d.c[0] + s * d.c[1]),
+        constrained=d.constrained,
+    )
+
+
+class TestIntegerKey:
+    """The DP keys a point p by (f.p) S + g.p + span, with g = (0, 1) when
+    f_0 != 0 and (1, 0) otherwise; every table must match the brute-force
+    count whichever g is chosen and however far g.p runs from f.p."""
+
+    @staticmethod
+    def kind(d):
+        f = strictly_separates(d.weights())
+        if dot(f, d.c) > 0 and not Cone2(d.weights()).contains(d.c):
+            return "outside"
+        return "f0 == 0" if f[0] == 0 else "f0 != 0"
+
+    def test_against_brute_force_for_both_keys(self):
+        rng = random.Random(1616)
+        quota = dict.fromkeys(("f0 == 0", "f0 != 0", "outside"), 4)
+        seen = {"f0 == 0": 0, "f0 != 0": 0, "skewed": 0}
+        while any(quota.values()):
+            d = random_test_datum(rng, bound=2, constrained=rng.random() < 0.5)
+            if not r0_is_trivial(d):
+                continue
+            kind = self.kind(d)
+            if not quota[kind]:
+                continue
+            quota[kind] -= 1
+            dims = [brute_force_dim(d, n) for n in range(4)]
+            # f maps along with a shear, so every f.w is kept, while g.w
+            # moves by 40 times the other coordinate
+            for e in (d, mapped(d, ((1, 0), (40, 1))), mapped(d, ((1, 40), (0, 1))), scaled(d, 100)):
+                graded._table.cache_clear()
+                assert hilbert_table(e, 3) == dims, (d, e)
+                ws, f = e.weights(), strictly_separates(e.weights())
+                g = 1 if f[0] else 0
+                seen["f0 != 0" if f[0] else "f0 == 0"] += 1
+                seen["skewed"] += max(abs(w[g]) for w in ws) > 10 * max(dot(f, w) for w in ws)
+        assert all(n >= 4 for n in seen.values()), seen
+
+    def test_each_term_of_the_span_is_needed(self):
+        # Without n_max |g.c|, the walk back from n c, far below or left of
+        # the states on one axis, aliases the origin's key; without the + 1
+        # per weight, a point one step back from a state or past the budget
+        # aliases another.  Each datum was found wrong under one omission.
+        outside = [
+            (((3, 0), (1, 0), (1, 0)), ((2, 0), (3, 0), (3, 0)), (3, -9), 4),  # g.p = y
+            (((0, 1), (0, 1), (0, 2)), ((0, 1), (0, 3), (0, 1)), (5, 2), 4),  # g.p = x
+        ]
+        for a, b, c, n_max in outside:
+            d = WeightDatum(a=a, b=b, c=c, constrained=False)
+            assert not Cone2(d.weights()).contains(c)
+            graded._table.cache_clear()
+            assert hilbert_table(d, n_max) == [1] + [0] * n_max, d
+        for a, b, c, n_max in (
+            (((3, 0), (1, 0), (2, -8)), ((3, 9), (3, 0), (1, 8)), (1, 0), 1),
+            (((2, -7), (1, 0), (2, 0)), ((1, 0), (2, 0), (2, 0)), (0, 2), 3),
+        ):
+            d = WeightDatum(a=a, b=b, c=c, constrained=False)
+            graded._table.cache_clear()
+            assert hilbert_table(d, n_max) == [brute_force_dim(d, n) for n in range(n_max + 1)], d
+
+    def test_skewed_flag(self):
+        # every f.w of the flag is 1, and stays 1 under these maps of
+        # determinant 1, while g.w grows to 1,000 or more
+        for m, f in ((((1, 0), (1000, 1)), (-999, 1)), (((1001, 1000), (1, 1)), (0, 1))):
+            d = mapped(flag_datum(), m)
+            assert strictly_separates(d.weights()) == f
+            graded._table.cache_clear()
+            assert hilbert_table(d, 12) == [(n + 1) ** 3 for n in range(13)], m
+
+
 class TestTableMemo:
     """graded_dim and hilbert_table read a per-(datum, n_max) table cache;
     their answers must not depend on what the cache holds."""
@@ -250,12 +333,7 @@ def dp_states(ws, f, budget):
 
 def scaled(d, s):
     """The datum with every weight and C multiplied by s."""
-    return WeightDatum(
-        a=tuple((s * x, s * y) for x, y in d.a),
-        b=tuple((s * x, s * y) for x, y in d.b),
-        c=(s * d.c[0], s * d.c[1]),
-        constrained=d.constrained,
-    )
+    return mapped(d, ((s, 0), (0, s)))
 
 
 def counted_work(d, n_max):
