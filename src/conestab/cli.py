@@ -54,8 +54,6 @@ class InternalError(Exception):
     """A cross-check the tool guarantees has failed; maps to exit code 1."""
 
 
-_PLACEHOLDER = "\x00conestab pattern table\x00"
-_PLACEHOLDER_JSON = json.dumps(_PLACEHOLDER)
 _ROW_KEYS = {"z_support", "w_support", "realizable", "in_M", "class_hm", "class_cone"}
 # the columns of a row that depend only on the pattern, never on the datum
 _PATTERN_COLUMNS = tuple(
@@ -71,15 +69,48 @@ _ROW_TEXT: dict[tuple, str | None] = dict.fromkeys(
     for text in (v.value for v in StabilityClass)
 )
 
+_REPORT_KEYS = {"datum", "apex", "star", "star_prime", "r0_trivial", "pattern_table", "hilbert"}
+_DATUM_KEYS = {"A", "B", "C", "constrained"}
+# The dump of an analyze report without hilbert, with %s in place of each
+# other value.  In key order the values are apex, the six integers of A and
+# of B, the two of C, constrained, the pattern table, r0_trivial, star and
+# star_prime.
+_REPORT_SKELETON = json.dumps(
+    {"datum": {"A": [["%s"] * 2] * 3, "B": [["%s"] * 2] * 3, "C": ["%s"] * 2, "constrained": "%s"},
+     **dict.fromkeys(_REPORT_KEYS - {"datum", "hilbert"}, "%s"), "hilbert": None},
+    sort_keys=True, indent=2,
+).replace('"%s"', "%s") + "\n"
+_JSON_BOOL = {True: "true", False: "false"}
 
-def _pattern_table_text(table) -> str | None:
-    """json.dumps of a report's pattern table at depth 1, or None unless
-    every row is one of the 192 of _ROW_TEXT.
 
-    A key compares by value, and 1 == 1.0 == True, but json.dumps writes
-    each differently: before its lookup a row must have the six keys,
-    integer supports, boolean flags and string verdicts.
+def _report_text(obj) -> str | None:
+    """canonical_json of an analyze report without hilbert, or None unless
+    obj is a dict with exactly a report's keys and value types.
+
+    The datum's integers, the five flags and the rows fill the slots of
+    _REPORT_SKELETON; each row is one of the 192 of _ROW_TEXT.  A key
+    compares by value, and 1 == 1.0 == True, but json.dumps writes each
+    differently, so every value must first have its exact type: integers,
+    booleans, and rows with the six keys and string verdicts.
     """
+    if type(obj) is not dict or obj.keys() != _REPORT_KEYS or obj["hilbert"] is not None:
+        return None
+    datum = obj["datum"]
+    if type(datum) is not dict or datum.keys() != _DATUM_KEYS:
+        return None
+    a, b = datum["A"], datum["B"]
+    if not (type(a) is list and type(b) is list and len(a) == len(b) == 3):
+        return None
+    numbers = []
+    for v in (*a, *b, datum["C"]):
+        if not (type(v) is list and len(v) == 2 and type(v[0]) is int and type(v[1]) is int):
+            return None
+        numbers += v
+    flags = (obj["apex"], datum["constrained"], obj["r0_trivial"], obj["star"], obj["star_prime"])
+    for x in flags:
+        if type(x) is not bool:
+            return None
+    table = obj["pattern_table"]
     if type(table) is not list:
         return None
     rows = []
@@ -103,90 +134,21 @@ def _pattern_table_text(table) -> str | None:
             text = "    " + json.dumps(row, sort_keys=True, indent=2).replace("\n", "\n    ")
             _ROW_TEXT[key] = text
         rows.append(text)
-    return "[\n" + ",\n".join(rows) + "\n  ]" if rows else "[]"
-
-
-_REPORT_KEYS = {"datum", "apex", "star", "star_prime", "r0_trivial", "pattern_table", "hilbert"}
-_DATUM_KEYS = {"A", "B", "C", "constrained"}
-# The dump of an analyze report with %s in place of each value.  In key
-# order the values are apex, the six integers of A and of B, the two of C,
-# constrained, hilbert, the pattern table, r0_trivial, star and star_prime.
-_REPORT_SKELETON = json.dumps(
-    {"datum": {"A": [["%s"] * 2] * 3, "B": [["%s"] * 2] * 3, "C": ["%s"] * 2, "constrained": "%s"},
-     **dict.fromkeys(_REPORT_KEYS - {"datum"}, "%s")},
-    sort_keys=True, indent=2,
-).replace('"%s"', "%s") + "\n"
-_JSON_BOOL = {True: "true", False: "false"}
-
-
-def _report_text(obj: dict) -> str | None:
-    """canonical_json of an analyze report, written from _REPORT_SKELETON,
-    or None unless obj has exactly a report's keys and value types.
-
-    As for a row, 1 == 1.0 == True, so every value must have its exact
-    type before it is spliced: integers, booleans, hilbert as None or a
-    list of integers, and a pattern table that _pattern_table_text takes.
-    """
-    if obj.keys() != _REPORT_KEYS:
-        return None
-    datum = obj["datum"]
-    if type(datum) is not dict or datum.keys() != _DATUM_KEYS:
-        return None
-    a, b = datum["A"], datum["B"]
-    if not (type(a) is list and type(b) is list and len(a) == len(b) == 3):
-        return None
-    numbers = []
-    for v in (*a, *b, datum["C"]):
-        if not (type(v) is list and len(v) == 2 and type(v[0]) is int and type(v[1]) is int):
-            return None
-        numbers += v
-    flags = (obj["apex"], datum["constrained"], obj["r0_trivial"], obj["star"], obj["star_prime"])
-    for x in flags:
-        if type(x) is not bool:
-            return None
-    hilbert = obj["hilbert"]
-    if hilbert is None:
-        hilbert = "null"
-    elif type(hilbert) is list:
-        for x in hilbert:
-            if type(x) is not int:
-                return None
-        hilbert = "[\n    " + ",\n    ".join(map(str, hilbert)) + "\n  ]" if hilbert else "[]"
-    else:
-        return None
-    table = _pattern_table_text(obj["pattern_table"])
-    if table is None:
-        return None
+    table = "[\n" + ",\n".join(rows) + "\n  ]" if rows else "[]"
     apex, constrained, r0_trivial, star, star_prime = map(_JSON_BOOL.__getitem__, flags)
-    return _REPORT_SKELETON % (apex, *numbers, constrained, hilbert, table,
-                               r0_trivial, star, star_prime)
+    return _REPORT_SKELETON % (apex, *numbers, constrained, table, r0_trivial, star, star_prime)
 
 
 def canonical_json(obj) -> str:
     """``json.dumps(obj, sort_keys=True, indent=2)`` plus a newline.
 
-    The indenting encoder runs in pure Python, so a report's 64-row
-    pattern table would dominate the cost.  A report's rows are among the
-    192 of _ROW_TEXT; each is encoded once, by ``json.dumps`` itself.  An
-    analyze report, with exactly its seven keys and its value types, is
-    written from a fixed skeleton, the dump of a report with a slot for
-    each value, with the datum's integers, the five flags, ``hilbert`` and
-    the encoded rows spliced in.  Any other payload holding a pattern table
-    that _pattern_table_text takes, such as a biquotient report, gets the
-    encoded rows spliced into the dump of the rest of it in place of a
-    placeholder string.  Any other payload is dumped whole.  Every way the
-    bytes are those of ``json.dumps``.
+    The indenting encoder runs in pure Python, so the 64-row pattern table
+    would dominate the cost of an analyze report without ``hilbert``, the
+    one payload written on a hot path; _report_text writes that from a
+    fixed skeleton.  Every other payload, an analyze report with
+    ``hilbert`` or a biquotient report among them, is dumped whole.
     """
-    if type(obj) is dict and "pattern_table" in obj:
-        text = _report_text(obj)
-        if text is not None:
-            return text
-        table = _pattern_table_text(obj["pattern_table"])
-        if table is not None:
-            text = json.dumps({**obj, "pattern_table": _PLACEHOLDER}, sort_keys=True, indent=2)
-            if text.count(_PLACEHOLDER_JSON) == 1:
-                return text.replace(_PLACEHOLDER_JSON, table) + "\n"
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    return _report_text(obj) or json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
 # ---------------------------------------------------------------- config

@@ -64,16 +64,17 @@ def scan_separator(gens, p):
     return None
 
 
+def strict_separators(vectors):
+    """Every alpha of the scan box strictly positive on every input vector,
+    in box order."""
+    vs = list(vectors)
+    bound = 2 * max([1] + [abs(c) for v in vs for c in v]) + 1
+    return (alpha for alpha in _direction_box(bound) if all(dot(v, alpha) > 0 for v in vs))
+
+
 def scan_strict_separator(vectors):
     """Exhaustively look for alpha strictly positive on every input vector."""
-    vs = list(vectors)
-    if not vs:
-        return (1, 0)
-    bound = 2 * max(1, max(abs(c) for v in vs for c in v)) + 1
-    for alpha in _direction_box(bound):
-        if all(dot(v, alpha) > 0 for v in vs):
-            return alpha
-    return None
+    return next(strict_separators(vectors), None)
 
 
 def oracle_contains(gens, p):

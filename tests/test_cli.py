@@ -4,6 +4,7 @@ import io
 import json
 import os
 import random
+import re
 import shutil
 import subprocess
 import sys
@@ -762,8 +763,7 @@ def report_payload(draw):
 
 
 _ODD_VALUES = st.sampled_from(
-    [1, 1.0, True, None, "stable ", "unstable", [1], (1,), "1", {"1": 1}, [1.0], [True], [[1]],
-     cli._PLACEHOLDER]
+    [1, 1.0, True, None, "stable ", "unstable", [1], (1,), "1", {"1": 1}, [1.0], [True], [[1]]]
 )
 
 
@@ -772,15 +772,13 @@ _FLAGS = [("apex",), ("star",), ("star_prime",), ("r0_trivial",), ("datum", "con
 
 @st.composite
 def odd_payload(draw):
-    """A real payload with one value replaced, one key added to a row, the
-    splice placeholder stored outside the pattern table, or one field
-    outside the table corrupted: a datum integer, a flag, hilbert, or a
-    datum key added or removed."""
+    """A real payload with one value replaced, one key added to a row, or
+    one field outside the table corrupted: a datum integer, a flag,
+    hilbert, or a datum key added or removed."""
     payload = draw(report_payload())
     rows = payload["pattern_table"]
     where = draw(st.sampled_from(
-        ["row-value", "row-key", "placeholder", "table", "integer", "flag", "hilbert",
-         "datum-key"]
+        ["row-value", "row-key", "table", "integer", "flag", "hilbert", "datum-key"]
     ))
     datum = payload["datum"]
     if where == "integer":
@@ -808,9 +806,6 @@ def odd_payload(draw):
         row[draw(st.sampled_from(sorted(row)))] = draw(_ODD_VALUES)
     elif where == "row-key" and rows:
         rows[draw(st.integers(0, len(rows) - 1))]["note"] = draw(_ODD_VALUES)
-    elif where == "placeholder":
-        holder = draw(st.sampled_from([payload, payload["datum"]]))
-        holder[draw(st.sampled_from(["note", cli._PLACEHOLDER]))] = cli._PLACEHOLDER
     else:
         payload["pattern_table"] = draw(_ODD_VALUES)
     return payload
@@ -848,15 +843,38 @@ class TestCanonicalJson:
         for p in odd + [payload] + odd:
             assert canonical_json(p) == reference_json(p)
 
-    def test_analyze_reports_are_written_from_the_skeleton(self):
-        d = flag_datum()
-        for nmax in (None, 0, 3):
-            payload = build_analysis_report(d, nmax=nmax).as_dict()
-            assert cli._report_text(payload) == reference_json(payload)
-        payload["hilbert"] = []
-        assert cli._report_text(payload) == reference_json(payload)
-        payload["biquotient"] = {"star_hypothesis": True}
-        assert cli._report_text(payload) is None
+    def test_the_skeleton_writes_every_analyze_report_without_hilbert(self, monkeypatch):
+        """The byte tests pass whichever path a payload takes.  This one
+        checks that a plain analyze report, the payload written on a hot
+        path, never falls through to json.dumps, and that every row it
+        holds is served from _ROW_TEXT; and that a report with hilbert or
+        a biquotient report always falls through."""
+        monkeypatch.setattr(cli, "_ROW_TEXT", dict.fromkeys(cli._ROW_TEXT))
+        rng = random.Random(18)
+        seen = set()
+        for i in range(2000):
+            d = random_test_datum(rng, bound=(2, 20)[i % 2], constrained=i % 4 > 1)
+            payload = build_analysis_report(d).as_dict()
+            assert cli._report_text(payload) == reference_json(payload), d
+            seen.update(
+                (tuple(r["z_support"]), tuple(r["w_support"]), r["realizable"], r["in_M"],
+                 r["class_hm"], r["class_cone"])
+                for r in payload["pattern_table"]
+            )
+        assert {key for key, text in cli._ROW_TEXT.items() if text is not None} == seen
+        w_left, w_right = ((1, 0), (1, 0), (1, 0)), ((0, 0), (0, 0), (1, 1))
+        d = weights_from_biquotient(w_left, w_right)
+        for nmax, biquotient in ((0, False), (3, False), (None, True), (2, True)):
+            report = build_analysis_report(d, nmax=nmax)
+            payload = report.as_dict()
+            if biquotient:
+                payload["biquotient"] = {
+                    "wL": [list(v) for v in w_left],
+                    "wR": [list(v) for v in w_right],
+                    "star_hypothesis": report.star,
+                }
+            assert cli._report_text(payload) is None
+            assert canonical_json(payload) == reference_json(payload)
 
     def test_other_payloads_match_json_dumps(self):
         for payload in (
@@ -864,8 +882,6 @@ class TestCanonicalJson:
             {"phi": [1.0, -0.5], "residual": 0.0},
             [{"pattern_table": []}],
             {"pattern_table": [{"z_support": [1]}]},
-            {"pattern_table": [], "note": cli._PLACEHOLDER},
-            {"pattern_table": [], cli._PLACEHOLDER: 1},
             {},
         ):
             assert canonical_json(payload) == reference_json(payload)
@@ -880,22 +896,11 @@ class TestCanonicalJson:
         }
         assert len(real) == 64 * 3 and cli._ROW_TEXT.keys() == real
         monkeypatch.setattr(cli, "_ROW_TEXT", dict.fromkeys(cli._ROW_TEXT))
-        rng = random.Random(7)
-        seen = set()
-        for i in range(2000):
-            d = random_test_datum(rng, bound=(2, 20)[i % 2], constrained=i % 3 > 0)
-            payload = build_analysis_report(d).as_dict()
-            assert canonical_json(payload) == reference_json(payload)
-            seen.update(
-                (tuple(r["z_support"]), tuple(r["w_support"]), r["realizable"], r["in_M"],
-                 r["class_hm"], r["class_cone"])
-                for r in payload["pattern_table"]
-            )
-        # every row of a real report was served from the table
-        assert {key for key, text in cli._ROW_TEXT.items() if text is not None} == seen
-        row = build_analysis_report(flag_datum()).as_dict()["pattern_table"][0]
+        # a row no report can hold is dumped, never added to the table
+        report = build_analysis_report(flag_datum()).as_dict()
+        row = report["pattern_table"][0]
         for k in range(3000):
-            payload = {"pattern_table": [dict(row, z_support=[k])]}
+            payload = dict(report, pattern_table=[dict(row, z_support=[k])])
             assert canonical_json(payload) == reference_json(payload)
         assert cli._ROW_TEXT.keys() == real
 
@@ -953,6 +958,30 @@ class TestTopLevel:
 
     def test_no_command_exits_2(self, capsys):
         assert run_cli(capsys)[0] == 2
+
+    def test_readme_synopsis_matches_the_commands(self):
+        """README's CLI synopsis lists every subcommand, in order, with
+        exactly the arguments its handler reads, each in --help order."""
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        block = readme.split("## CLI\n\n```\n", 1)[1].split("```", 1)[0]
+        listed = []
+        for line in block.splitlines():
+            prog, name, rest = line.split(maxsplit=2)
+            assert prog == "conestab", line
+            words = re.findall(r"\[[^]]*\]|\S+", rest)
+            listed.append((name, [re.sub(r" [A-Z]+\]$", " VALUE]", w) for w in words]))
+        declared = []
+        for name, (_, _, arguments) in cli.COMMANDS.items():
+            words = []
+            for flags, kwargs in arguments:
+                if not flags[0].startswith("-"):
+                    words.append(flags[0].upper())
+                elif kwargs.get("action") == "store_true":
+                    words.append(f"[{flags[0]}]")
+                else:
+                    words.append(f"[{flags[0]} VALUE]")
+            declared.append((name, words))
+        assert listed == declared
 
     def test_console_script_installed(self, flag_config):
         exe = shutil.which("conestab")

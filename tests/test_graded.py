@@ -2,6 +2,7 @@
 
 import random
 from itertools import product
+from math import prod
 
 import pytest
 
@@ -15,7 +16,7 @@ from conestab.graded import (
     hilbert_table,
 )
 from conestab.stability import WeightDatum, flag_datum, r0_is_trivial
-from conftest import random_test_datum, scan_strict_separator
+from conftest import random_test_datum, strict_separators
 
 
 def triangle(n):
@@ -29,17 +30,24 @@ def flag_dim_oracle(n):
 
 
 def brute_force_dim(datum, degree):
-    """Direct lattice enumeration using an independently scanned positive
-    functional to bound the exponents."""
-    f = scan_strict_separator(datum.weights())
-    assert f is not None
+    """Direct lattice enumeration, its exponents bounded by an independently
+    scanned positive functional.
+
+    Of the scan box's directions strictly positive on the weights, any one
+    negative on degree * c shows the count is 0; otherwise the one that
+    leaves the fewest exponent vectors bounds the enumeration.
+    """
     ws = datum.weights()
-    fvals = [f[0] * x + f[1] * y for x, y in ws]
-    budget = degree * (f[0] * datum.c[0] + f[1] * datum.c[1])
-    if budget < 0:
-        return 0
-    bounds = [budget // fv + 1 for fv in fvals]
     target = (degree * datum.c[0], degree * datum.c[1])
+    bounds = None
+    for f in strict_separators(ws):
+        budget = dot(f, target)
+        if budget < 0:
+            return 0
+        sizes = [budget // dot(f, w) + 1 for w in ws]
+        if bounds is None or prod(sizes) < prod(bounds):
+            bounds = sizes
+    assert bounds is not None
     count = 0
     for exps in product(*(range(b) for b in bounds)):
         if exps[0] >= 1 and exps[3] >= 1:  # divisible by z1*w1
@@ -229,7 +237,8 @@ class TestIntegerKey:
             d = WeightDatum(a=a, b=b, c=c, constrained=False)
             assert not Cone2(d.weights()).contains(c)
             graded._table.cache_clear()
-            assert hilbert_table(d, n_max) == [1] + [0] * n_max, d
+            dims = hilbert_table(d, n_max)
+            assert dims == [brute_force_dim(d, n) for n in range(n_max + 1)] == [1] + [0] * n_max, d
         for a, b, c, n_max in (
             (((3, 0), (1, 0), (2, -8)), ((3, 9), (3, 0), (1, 8)), (1, 0), 1),
             (((2, -7), (1, 0), (2, 0)), ((1, 0), (2, 0), (2, 0)), (0, 2), 3),
