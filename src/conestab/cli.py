@@ -225,8 +225,8 @@ def datum_from_config(doc: dict, enforce_constraint: bool) -> WeightDatum:
     a, b, c = _to_vec2_triple(a, "A"), _to_vec2_triple(b, "B"), _to_vec2(c, "C")
     try:
         return WeightDatum(a=a, b=b, c=c, constrained=enforce_constraint)
-    except ValueError as e:
-        raise InputError(str(e)) from None
+    except ValueError as e:  # name the flag that waives the constant-sum check
+        raise InputError(str(e).replace("constrained=False", "--no-constraint")) from None
 
 
 def complex3_from_config(doc: dict, key: str) -> tuple[complex, complex, complex]:
@@ -237,6 +237,8 @@ def complex3_from_config(doc: dict, key: str) -> tuple[complex, complex, complex
     for i, entry in enumerate(value):
         if not isinstance(entry, (list, tuple)) or len(entry) != 2:
             raise InputError(f"{key}[{i}]: expected an [re, im] pair")
+        if isinstance(entry[0], bool) or isinstance(entry[1], bool):
+            raise InputError(f"{key}[{i}]: expected a number, got a boolean")
         try:
             re, im = float(entry[0]), float(entry[1])
         except (TypeError, ValueError, OverflowError):

@@ -72,11 +72,6 @@ def _in_pair_cone(a: Vec2, b: Vec2, p: Vec2) -> bool:
     return s <= 0 and t <= 0
 
 
-def _in_dual(gens: Iterable[Vec2], alpha: Vec2) -> bool:
-    """alpha pairs nonnegatively with every generator."""
-    return all(dot(g, alpha) >= 0 for g in gens)
-
-
 def positive_relation(vectors: Iterable[Vec2]) -> dict[int, int] | None:
     """A nontrivial nonnegative integer relation among the inputs, or None.
 
@@ -182,8 +177,6 @@ class Cone2:
             return True
         gens = self.generators
         m = len(gens)
-        if m == 0:
-            return False
         if m == 1:
             return on_ray(gens[0], p)
         for i in range(m):
@@ -196,26 +189,28 @@ class Cone2:
     def interior_contains(self, p) -> bool:
         """Membership in the topological interior of the cone in R^2.
 
-        A cone whose linear hull is a point or a line has empty interior.
-        Otherwise p is a boundary point exactly when some supporting line
-        through the origin passes through it, and for p != 0 any such line
-        is p's own perpendicular; for p = 0 the cone must be all of R^2.
+        Decided on the dual side alone.  A cone whose linear hull is a
+        point or a line has empty interior.  Otherwise p is interior iff
+        <p, alpha> > 0 for every nonzero alpha of the dual cone, and it is
+        enough to test the dual's boundary rays: each is a +-90 degree
+        rotation of a generator that pairs nonnegatively with every
+        generator.  For the cone R^2 the dual is {0}, no rotation
+        qualifies, and every p, 0 included, is interior.
         """
         p = as_vec2(p)
         if self.linear_hull_dim() < 2:
             return False
-        if not self.contains(p):
-            return False
         nz = self._nonzero()
-        if p == ZERO:
-            # 0 is interior iff the cone is the whole plane, i.e. the dual
-            # cone is trivial.  A nontrivial dual would contain a boundary
-            # ray perpendicular to some generator.
-            return not any(
-                _in_dual(nz, q) for v in nz for q in (perp(v), neg(perp(v)))
-            )
-        q = perp(p)
-        return not (_in_dual(nz, q) or _in_dual(nz, neg(q)))
+        for v in nz:
+            for q in ((-v[1], v[0]), (v[1], -v[0])):  # perp(v) and its negation
+                if dot(p, q) > 0:
+                    continue
+                for g in nz:
+                    if dot(g, q) < 0:
+                        break
+                else:  # q is in the dual and pairs nonpositively with p
+                    return False
+        return True
 
     def has_apex(self) -> bool:
         """True iff some linear form is strictly positive on every nonzero generator.

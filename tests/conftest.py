@@ -64,6 +64,25 @@ def scan_separator(gens, p):
     return None
 
 
+def scan_interior(gens, p):
+    """Exhaustive interior oracle: p is not interior iff some nonzero alpha
+    of the scan box pairs >= 0 with every generator and <= 0 with p.
+
+    Such an alpha is a nonzero dual direction that does not pair strictly
+    positively with p.  The dual's boundary rays are rotations of inputs, so
+    the box is complete, and the scan is exact for every shape: {0}, rays
+    and lines, whose duals are the plane, a half-plane or a line, have
+    empty interior, and for R^2 no alpha qualifies.
+    """
+    bound = 2 * max(
+        [1] + [abs(c) for g in gens for c in g] + [abs(c) for c in p]
+    ) + 1
+    for alpha in _direction_box(bound):
+        if dot(p, alpha) <= 0 and all(dot(g, alpha) >= 0 for g in gens):
+            return False
+    return True
+
+
 def strict_separators(vectors):
     """Every alpha of the scan box strictly positive on every input vector,
     in box order."""

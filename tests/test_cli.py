@@ -129,14 +129,12 @@ class TestAnalyze:
         assert code == 2
         assert "nontrivial" in err
 
-    def test_constraint_violation_rejected(self, capsys, tmp_path):
-        cfg = write_config(
-            tmp_path,
-            {"A": [[1, 0], [2, 0], [3, 0]], "B": FLAG_CONFIG["B"], "C": [1, 1]},
-        )
-        code, _, err = run_cli(capsys, "analyze", cfg)
-        assert code == 2
-        assert "constant" in err
+    def test_constraint_violation_rejected(self, capsys):
+        cfg = str(Path(__file__).resolve().parents[1] / "demos" / "configs" / "degenerate.json")
+        code, out, err = run_cli(capsys, "analyze", cfg)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: weight sums a_i + b_i must be constant")
+        assert err.endswith("; pass --no-constraint to waive\n")
         code, _, _ = run_cli(capsys, "analyze", cfg, "--no-constraint")
         assert code == 0
 
@@ -532,6 +530,17 @@ class TestConfigErrors:
         assert proc.stderr.startswith("error: ")
         assert "Traceback" not in proc.stderr
         assert proc.stdout == ""
+
+    @pytest.mark.parametrize("z0, w0, name", [(True, 0, "z[0]"), (1, False, "w[0]")])
+    def test_boolean_coordinate_named_by_type(self, tmp_path, capsys, z0, w0, name):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_bytes(moment_config_bytes(z0, w0=w0))
+        code, out, err = run_cli(capsys, "moment", str(cfg), "--json")
+        assert (code, out, err) == (2, "", f"error: {name}: expected a number, got a boolean\n")
+        # a decimal string keeps its meaning
+        cfg.write_bytes(moment_config_bytes("10"))
+        code, out, _ = run_cli(capsys, "moment", str(cfg), "--json")
+        assert (code, json.loads(out)["phi"]) == (0, [100.0, 1.0])
 
     def test_digit_limit_errors_name_the_culprit(self, tmp_path, capsys):
         code, _, err = run_cli(

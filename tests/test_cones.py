@@ -1,5 +1,8 @@
 """Unit and property tests for the planar cone primitives."""
 
+import random
+from itertools import product
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,6 +20,7 @@ from conestab.cones import (
 from conftest import (
     combo_certifies,
     oracle_contains,
+    scan_interior,
     scan_separator,
     scan_strict_separator,
 )
@@ -130,6 +134,25 @@ class TestInterior:
     def test_scaling_invariance(self, cone, p, k):
         q = (k * p[0], k * p[1])
         assert cone.interior_contains(p) == cone.interior_contains(q)
+
+    def test_matches_scan_oracle_exhaustively(self):
+        box = [(x, y) for x in range(-1, 2) for y in range(-1, 2)]
+        for k in range(4):
+            for gens in product(box, repeat=k):
+                cone = Cone2(gens)
+                for p in box:
+                    assert cone.interior_contains(p) == scan_interior(gens, p), (gens, p)
+
+    def test_matches_scan_oracle_on_random_cones(self):
+        rng = random.Random(1917)
+
+        def vec():
+            return (rng.randint(-3, 3), rng.randint(-3, 3))
+
+        for _ in range(2000):
+            gens = [vec() for _ in range(rng.randint(1, 6))]
+            p = vec()
+            assert Cone2(gens).interior_contains(p) == scan_interior(gens, p), (gens, p)
 
 
 class TestTwoGeneratorInteriorCriterion:

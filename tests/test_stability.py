@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conestab import stability
+from conestab import cones, stability
 from conestab.cli import build_analysis_report
 from conestab.cones import Cone2, dot
 from conestab.stability import (
@@ -397,6 +397,37 @@ class TestFanCondition:
             for _ in range(400):
                 d = random_test_datum(rng, bound=6, constrained=constrained)
                 assert fan_condition(d) == fan_condition_membership(d), d
+
+    @staticmethod
+    def _guard_data():
+        rng = random.Random(1919)
+        return [
+            random_test_datum(rng, bound=bound, constrained=constrained)
+            for bound in (3, 20)
+            for constrained in (True, False)
+            for _ in range(500)
+        ]
+
+    @staticmethod
+    def _refuse(*args, **kwargs):
+        raise AssertionError("the other form's decider was reached")
+
+    def test_interior_form_uses_no_membership_decider(self, monkeypatch):
+        """fan_condition answers with the Cramer pair test and the ray test
+        both gone, so star-equivalence compares two independent deciders."""
+        data = self._guard_data()
+        expected = [fan_condition(d) for d in data]
+        for module in (cones, stability):
+            monkeypatch.setattr(module, "_in_pair_cone", self._refuse)
+            monkeypatch.setattr(module, "on_ray", self._refuse)
+        assert [fan_condition(d) for d in data] == expected
+
+    def test_membership_form_uses_no_interior_decider(self, monkeypatch):
+        data = self._guard_data()
+        expected = [fan_condition_membership(d) for d in data]
+        monkeypatch.setattr(Cone2, "interior_contains", self._refuse)
+        monkeypatch.setattr(Cone2, "has_apex", self._refuse)
+        assert [fan_condition_membership(d) for d in data] == expected
 
 
 class TestMainEquivalence:
