@@ -11,7 +11,8 @@ Subcommands:
 Configs are single JSON documents with integer-array fields "A" (3x2),
 "B" (3x2), "C" (2); "wL"/"wR" (3x2) for biquotient mode; "z"/"w"
 (3 x [re, im]) for moment mode.  Integers may be given as decimal strings
-when they exceed safe double range.
+(an optional sign and ASCII digits) when they exceed safe double range;
+moment coordinates as strings in the JSON number grammar.
 
 Exit codes: 0 success, 1 internal invariant breach (including failed
 verification suites), 2 input error, 3 I/O error, 4 crash (any other
@@ -23,9 +24,9 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 from dataclasses import dataclass
-from operator import attrgetter
 
 from conestab.cones import ZERO, Cone2
 from conestab.graded import hilbert_table
@@ -157,6 +158,25 @@ def canonical_json(obj) -> str:
 # A rejected value is named by its JSON type, never echoed: it may be huge.
 _JSON_TYPE_NAMES = {float: "a number with a fraction or exponent", list: "a list",
                     dict: "an object", type(None): "null"}
+# Integers from a config or the command line, and moment coordinate strings;
+# int() and float() alone also take underscores, spaces and other digits.
+_DECIMAL = re.compile(r"[+-]?[0-9]+")
+_JSON_NUMBER = re.compile(r"-?(?:0|[1-9][0-9]*)(?:\.[0-9]+)?(?:[eE][+-]?[0-9]+)?")
+
+
+def _decimal(text: str) -> int:
+    """argparse type: the integer text spells in the decimal grammar."""
+    if _DECIMAL.fullmatch(text):
+        try:
+            return int(text)
+        except ValueError:  # past the digit limit
+            raise argparse.ArgumentTypeError(
+                f"a string of {len(text)} characters is not a decimal integer within the"
+                f" {sys.get_int_max_str_digits()}-digit limit sys.get_int_max_str_digits()"
+            ) from None
+    # a long string is named by its length, never echoed
+    shown = repr(text) if len(text) <= 40 else f"a string of {len(text)} characters"
+    raise argparse.ArgumentTypeError(f"{shown} is not a decimal integer")
 
 
 def _to_int(value, name: str) -> int:
@@ -166,14 +186,9 @@ def _to_int(value, name: str) -> int:
         return value
     if isinstance(value, str):
         try:
-            return int(value, 10)
-        except ValueError:
-            limit = sys.get_int_max_str_digits()
-            if limit and len(value) > limit:  # too long to echo
-                raise InputError(f"{name}: a string of {len(value)} characters is not a decimal"
-                                 f" integer within the {limit}-digit limit"
-                                 " sys.get_int_max_str_digits()") from None
-            raise InputError(f"{name}: {value!r} is not a decimal integer") from None
+            return _decimal(value)
+        except argparse.ArgumentTypeError as e:
+            raise InputError(f"{name}: {e}") from None
     got = _JSON_TYPE_NAMES.get(type(value), type(value).__name__)
     raise InputError(f"{name}: expected an integer or decimal string, got {got}")
 
@@ -239,13 +254,15 @@ def complex3_from_config(doc: dict, key: str) -> tuple[complex, complex, complex
             raise InputError(f"{key}[{i}]: expected an [re, im] pair")
         if isinstance(entry[0], bool) or isinstance(entry[1], bool):
             raise InputError(f"{key}[{i}]: expected a number, got a boolean")
+        if any(isinstance(x, str) and not _JSON_NUMBER.fullmatch(x) for x in entry):
+            raise InputError(f"{key}[{i}]: a string entry must be a JSON number")
         try:
-            re, im = float(entry[0]), float(entry[1])
-        except (TypeError, ValueError, OverflowError):
+            real, imag = float(entry[0]), float(entry[1])
+        except (TypeError, OverflowError):
             raise InputError(f"{key}[{i}]: entries must be finite numbers") from None
-        if not (math.isfinite(re) and math.isfinite(im)):
+        if not (math.isfinite(real) and math.isfinite(imag)):
             raise InputError(f"{key}[{i}]: entries must be finite numbers")
-        out.append(complex(re, im))
+        out.append(complex(real, imag))
     return tuple(out)
 
 
@@ -258,7 +275,6 @@ class AnalysisReport:
     apex: bool
     star: bool  # the fan condition; its interior and membership forms agree
     r0_trivial: bool
-    verdicts: list[StabilityClass]  # per pattern of ALL_PATTERNS; both classifiers agree
     hilbert: list[int] | None = None
 
     def as_dict(self) -> dict:
@@ -275,18 +291,11 @@ class AnalysisReport:
             "star_prime": self.star,
             "r0_trivial": self.r0_trivial,
             "pattern_table": [
-                {
-                    "z_support": list(z),
-                    "w_support": list(w),
-                    "realizable": realizable,
-                    "in_M": in_m,
-                    "class_hm": text,
-                    "class_cone": text,
-                }
-                # _value_ is a plain attribute; Enum.value is a Python-level property
-                for (_, z, w, realizable, in_m), text in zip(
-                    _PATTERN_COLUMNS, map(attrgetter("_value_"), self.verdicts)
-                )
+                {"z_support": list(z), "w_support": list(w), "realizable": realizable,
+                 "in_M": in_m, "class_hm": text, "class_cone": text}
+                # the classifiers agree; _value_ skips the Enum.value property
+                for p, z, w, realizable, in_m in _PATTERN_COLUMNS
+                for text in (classify_by_cone(d, p)._value_,)
             ],
             "hilbert": self.hilbert,
         }
@@ -300,8 +309,10 @@ def _hilbert_table(datum: WeightDatum, nmax: int) -> list[int]:
 
 
 def build_analysis_report(datum: WeightDatum, nmax: int | None = None) -> AnalysisReport:
-    """Run both classifiers over all 64 patterns and cross-check everything
-    the emitted report promises."""
+    """Cross-check everything the emitted report promises.  The two
+    classifiers agree on all 64 patterns iff their (semistable, stable)
+    bitset pairs are equal, since each stable bitset lies within its
+    semistable one."""
     star = fan_condition(datum)
     star_prime = fan_condition_membership(datum)
     if star != star_prime:
@@ -309,15 +320,13 @@ def build_analysis_report(datum: WeightDatum, nmax: int | None = None) -> Analys
             f"fan condition forms disagree: interior={star} membership={star_prime} "
             f"for {datum!r}"
         )
-    verdicts = []
-    for p in ALL_PATTERNS:
-        hm = classify_by_one_ps(datum, p)
-        cone = classify_by_cone(datum, p)
-        if hm is not cone:
-            raise InternalError(
-                f"classifiers disagree on pattern {p}: {hm} vs {cone} for {datum!r}"
-            )
-        verdicts.append(hm)
+    if datum._one_ps_bits != datum._cone_bits:
+        for p in ALL_PATTERNS:
+            hm, cone = classify_by_one_ps(datum, p), classify_by_cone(datum, p)
+            if hm is not cone:
+                raise InternalError(
+                    f"classifiers disagree on pattern {p}: {hm} vs {cone} for {datum!r}"
+                )
     trivial = r0_is_trivial(datum)
     # Both answers come from positive_relation: over all six weights for
     # r0, over the nonzero ones for the apex, so they differ only when a
@@ -325,14 +334,7 @@ def build_analysis_report(datum: WeightDatum, nmax: int | None = None) -> Analys
     ws = datum.weights()
     apex = trivial or (ZERO in ws and Cone2(ws).has_apex())
     hilbert = None if nmax is None else _hilbert_table(datum, nmax)
-    return AnalysisReport(
-        datum=datum,
-        apex=apex,
-        star=star,
-        r0_trivial=trivial,
-        verdicts=verdicts,
-        hilbert=hilbert,
-    )
+    return AnalysisReport(datum=datum, apex=apex, star=star, r0_trivial=trivial, hilbert=hilbert)
 
 
 def _yesno(flag: bool) -> str:
@@ -341,27 +343,24 @@ def _yesno(flag: bool) -> str:
 
 def render_report_text(report: AnalysisReport, extra_lines: list[str] | None = None) -> str:
     d = report.datum
-    lines = ["datum:"]
-    for i, v in enumerate(d.a, start=1):
-        lines.append(f"  A{i} = {v}")
-    for j, v in enumerate(d.b, start=1):
-        lines.append(f"  B{j} = {v}")
-    lines.append(f"  C  = {d.c}")
-    lines.append(
-        "  constraint A_i + B_i constant: "
-        + ("enforced" if d.constrained else "not enforced")
-    )
-    lines.append(f"apex: {_yesno(report.apex)}")
-    lines.append(f"fan condition (interior form): {_yesno(report.star)}")
-    lines.append(f"fan condition (membership form): {_yesno(report.star)}")
-    lines.append(f"degree-0 invariants trivial: {_yesno(report.r0_trivial)}")
-    if extra_lines:
-        lines.extend(extra_lines)
-    lines.append("pattern table:")
-    for (p, _, _, realizable, in_m), verdict in zip(_PATTERN_COLUMNS, report.verdicts):
+    lines = [
+        "datum:",
+        *(f"  A{i} = {v}" for i, v in enumerate(d.a, start=1)),
+        *(f"  B{j} = {v}" for j, v in enumerate(d.b, start=1)),
+        f"  C  = {d.c}",
+        "  constraint A_i + B_i constant: " + ("enforced" if d.constrained else "not enforced"),
+        f"apex: {_yesno(report.apex)}",
+        f"fan condition (interior form): {_yesno(report.star)}",
+        f"fan condition (membership form): {_yesno(report.star)}",
+        f"degree-0 invariants trivial: {_yesno(report.r0_trivial)}",
+        *(extra_lines or ()),
+        "pattern table:",
+    ]
+    for p, _, _, realizable, in_m in _PATTERN_COLUMNS:
+        verdict = classify_by_cone(d, p).value  # both classifiers agree
         lines.append(
             f"  {str(p):12s} realizable={_yesno(realizable):3s} in_M={_yesno(in_m):3s} "
-            f"hm={verdict.value:20s} cone={verdict.value}"
+            f"hm={verdict:20s} cone={verdict}"
         )
     if report.hilbert is not None:
         lines.append(f"graded dimensions 0..{len(report.hilbert) - 1}: {report.hilbert}")
@@ -509,12 +508,11 @@ def _at_least(least: int):
     """argparse type: an integer no smaller than least."""
 
     def parse(text: str) -> int:
-        value = int(text)
+        value = _decimal(text)
         if value < least:
-            raise argparse.ArgumentTypeError(f"must be at least {least}, got {value}")
+            raise argparse.ArgumentTypeError(f"must be at least {least}")
         return value
 
-    parse.__name__ = "int"  # argparse names the type in "invalid int value" errors
     return parse
 
 
@@ -536,7 +534,7 @@ COMMANDS = {
                 (_CONFIG, _JSON, _NO_CONSTRAINT, _NMAX, _OUT)),
     "verify": (cmd_verify, "run a consistency suite", (
         _arg("suite", choices=SUITE_NAMES),
-        _arg("--seed", type=int, default=0),
+        _arg("--seed", type=_decimal, default=0),
         _arg("--trials", type=_at_least(1), default=1000),
         _arg("--bound", type=_at_least(1), default=20, help="coordinate box bound"),
         _JSON, _NO_CONSTRAINT)),

@@ -196,6 +196,38 @@ class TestAnalyze:
         assert code == 2
 
 
+class TestInternalErrors:
+    """analyze exits 1, printing nothing to stdout, when a cross-check of
+    its report fails."""
+
+    def test_classifier_disagreement_names_the_first_pattern(self, capsys, flag_config, monkeypatch):
+        # both patterns are stable on the flag datum; z{1}w{3} comes first in
+        # ALL_PATTERNS, though its mask bit is the higher one
+        first, second = (p for p in ALL_PATTERNS if str(p) in ("z{1}w{3}", "z{2}w{1}"))
+        assert str(first) == "z{1}w{3}" and first._mask > second._mask
+        real = stability._cone_table
+
+        def cleared(datum):
+            semistable, stable = real(datum)
+            return semistable, stable & ~(1 << first._mask | 1 << second._mask)
+
+        monkeypatch.setattr(stability, "_cone_table", cleared)
+        code, out, err = run_cli(capsys, "analyze", flag_config)
+        assert (code, out) == (1, "")
+        assert err == (
+            "internal error: classifiers disagree on pattern z{1}w{3}: stable vs "
+            f"strictly-semistable for {flag_datum()!r}\n"
+        )
+
+    def test_fan_form_disagreement(self, capsys, flag_config, monkeypatch):
+        real = cli.fan_condition_membership
+        monkeypatch.setattr(cli, "fan_condition_membership", lambda datum: not real(datum))
+        code, out, err = run_cli(capsys, "analyze", flag_config)
+        assert (code, out) == (1, "")
+        assert err.startswith("internal error: fan condition forms disagree: interior=True "
+                              "membership=False for ")
+
+
 class TestVerifyCommand:
     def test_suite_names_match_registry(self):
         assert set(SUITE_NAMES) == set(VERIFY_SUITES)
@@ -586,6 +618,77 @@ class TestConfigErrors:
         code, out, err = run_cli(capsys, "analyze", write_config(tmp_path, doc))
         assert (code, out) == (2, "")
         assert err == f"error: A[0]: expected an integer or decimal string, got {named}\n"
+
+    @pytest.mark.parametrize(
+        "value, shown",
+        [
+            ("1_0", "'1_0'"),
+            (" 0 ", "' 0 '"),
+            ("1\n", "'1\\n'"),
+            ("١", "'١'"),  # ARABIC-INDIC DIGIT ONE
+            ("１", "'１'"),  # FULLWIDTH DIGIT ONE
+            ("0x10", "'0x10'"),
+            ("1e3", "'1e3'"),
+            ("", "''"),
+            ("+-1", "'+-1'"),
+            ("x" * 5000, "a string of 5000 characters"),
+        ],
+    )
+    def test_integer_strings_are_sign_and_ascii_digits(self, tmp_path, capsys, value, shown):
+        doc = dict(FLAG_CONFIG, A=[[value, 0], [1, 0], [1, 0]])
+        code, out, err = run_cli(capsys, "analyze", write_config(tmp_path, doc))
+        assert (code, out, err) == (2, "", f"error: A[0]: {shown} is not a decimal integer\n")
+
+    def test_signed_decimal_strings_are_integers(self, tmp_path, capsys):
+        doc = dict(FLAG_CONFIG, A=[["+1", "-0"], ["01", "+0"], [1, "0000"]])
+        code, out, _ = run_cli(capsys, "analyze", write_config(tmp_path, doc), "--json")
+        assert (code, json.loads(out)["datum"]["A"]) == (0, FLAG_CONFIG["A"])
+
+    @pytest.mark.parametrize("z0", [" 1_0 ", "1_0", "+1", "01", ".5", "1.", "١", "inf", "x" * 5000])
+    def test_moment_strings_are_json_numbers(self, tmp_path, capsys, z0):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_bytes(moment_config_bytes(z0))
+        code, out, err = run_cli(capsys, "moment", str(cfg), "--json")
+        assert (code, out, err) == (2, "", "error: z[0]: a string entry must be a JSON number\n")
+
+    @pytest.mark.parametrize("z0, phi", [("-0", 0.0), ("0.5", 0.25), ("1E1", 100.0), ("2.5e-1", 0.0625)])
+    def test_moment_json_number_strings_are_read(self, tmp_path, capsys, z0, phi):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_bytes(moment_config_bytes(z0))
+        code, out, _ = run_cli(capsys, "moment", str(cfg), "--json")
+        assert (code, json.loads(out)["phi"]) == (0, [phi, 1.0])
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["hilbert", "FLAG", "--nmax", " 1_0"], "argument --nmax: ' 1_0' is not a decimal integer"),
+            (["analyze", "FLAG", "--nmax", "٣"], "argument --nmax: '٣' is not a decimal integer"),
+            (["verify", "r0", "--trials", "١٠"],
+             "argument --trials: '١٠' is not a decimal integer"),
+            (["verify", "r0", "--bound", "1_0"], "argument --bound: '1_0' is not a decimal integer"),
+            (["verify", "r0", "--seed", " 7"], "argument --seed: ' 7' is not a decimal integer"),
+            (["verify", "r0", "--seed", "x" * 5000],
+             "argument --seed: a string of 5000 characters is not a decimal integer"),
+            (["verify", "r0", "--trials", "9" * 5000],
+             "argument --trials: a string of 5000 characters is not a decimal integer within the"
+             " 4300-digit limit sys.get_int_max_str_digits()"),
+            (["verify", "r0", "--trials", "-" + "9" * 4000], "argument --trials: must be at least 1"),
+        ],
+    )
+    def test_command_line_integers_are_sign_and_ascii_digits(
+        self, tmp_path, capsys, argv, message
+    ):
+        argv = [write_config(tmp_path, FLAG_CONFIG) if a == "FLAG" else a for a in argv]
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.endswith(f": error: {message}\n")
+
+    def test_signed_command_line_integers_are_read(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "verify", "r0", "--json", "--trials", "+3", "--bound", "02", "--seed", "-7"
+        )
+        report = json.loads(out)
+        assert (code, report["trials"], report["coord_bound"], report["seed"]) == (0, 3, 2, -7)
 
     @pytest.mark.parametrize(
         "command, doc, missing",

@@ -3,13 +3,14 @@
 Each run of the matrix below goes through ``cli.main`` in process, and
 its exit code and stdout digest must equal the entry pinned in
 ``tests/data/cli_golden.json``.  The matrix covers, over every config in
-``demos/configs``, ``analyze`` (text, ``--json``, ``--json --nmax 3``),
-``hilbert --json``, ``fan-svg --shade``, ``biquotient --json`` with and
-without ``--nmax 2`` and ``moment --json``, each also with
-``--no-constraint`` where the subcommand takes it; and ``verify SUITE
---json --trials 50 --seed 7`` for every suite, also with
-``--no-constraint --bound 3``.  Config paths are written relative to the
-repository root, so no digest depends on where the checkout lives.
+``demos/configs``, ``analyze`` (text, ``--nmax 3``, ``--json``, ``--json
+--nmax 3``), ``hilbert`` (text, ``--json``), ``fan-svg --shade``,
+``biquotient`` (text, ``--json``), each with and without ``--nmax 2``, and
+``moment`` (text, ``--json``), each also with ``--no-constraint`` where the
+subcommand takes it; and ``verify SUITE --trials 50 --seed 7`` (text,
+``--json``) for every suite, also with ``--no-constraint --bound 3``.
+Config paths are written relative to the repository root, so no digest
+depends on where the checkout lives.
 
 A change meant to keep CLI bytes must leave every digest as it is.  A
 change that alters one must name each changed run, and say why, in
@@ -41,15 +42,18 @@ def golden_argvs():
     for path in sorted((ROOT / "demos" / "configs").glob("*.json")):
         config = path.relative_to(ROOT).as_posix()
         for base in (["analyze"], ["analyze", "--json"], ["analyze", "--json", "--nmax", "3"],
-                     ["hilbert", "--json"], ["fan-svg", "--shade"], ["moment", "--json"]):
+                     ["hilbert", "--json"], ["fan-svg", "--shade"], ["moment", "--json"],
+                     ["analyze", "--nmax", "3"], ["hilbert"], ["moment"]):
             argvs.append(base + [config])
             argvs.append(base + [config, "--no-constraint"])
-        for base in (["biquotient", "--json"], ["biquotient", "--json", "--nmax", "2"]):
+        for base in (["biquotient", "--json"], ["biquotient", "--json", "--nmax", "2"],
+                     ["biquotient"], ["biquotient", "--nmax", "2"]):
             argvs.append(base + [config])
     for suite in SUITE_NAMES:
-        base = ["verify", suite, "--json", "--trials", "50", "--seed", "7"]
-        argvs.append(base)
-        argvs.append(base + ["--no-constraint", "--bound", "3"])
+        for base in (["verify", suite, "--json", "--trials", "50", "--seed", "7"],
+                     ["verify", suite, "--trials", "50", "--seed", "7"]):
+            argvs.append(base)
+            argvs.append(base + ["--no-constraint", "--bound", "3"])
     return argvs
 
 

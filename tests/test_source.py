@@ -1,6 +1,7 @@
 """Checks on the package source itself."""
 
 import ast
+import importlib
 import json
 import os
 import subprocess
@@ -10,6 +11,7 @@ from pathlib import Path
 import conestab
 
 SRC = Path(conestab.__file__).parent
+ROOT = SRC.parent.parent
 
 
 def test_no_assert_statements():
@@ -58,3 +60,77 @@ def test_self_checks_survive_optimize(tmp_path):
         "crash: AssertionError: find_invariant_monomial: the witness is not a nonconstant"
         " invariant monomial",
     ]
+
+
+# The exact modules, and the functions of theirs that may use floating point.
+_EXACT_MODULES = ("cones.py", "stability.py", "graded.py", "verify.py")
+_FLOAT_FUNCTIONS = {"verify.py": {"moment_map", "_as_complex3"}}
+
+
+def _inexact_nodes(tree: ast.AST, exempt: set[str]):
+    """(line, what) of every inexact construct in tree, outside the
+    functions named in exempt."""
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, ast.FunctionDef) and node.name in exempt:
+            continue
+        stack.extend(ast.iter_child_nodes(node))
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div):
+            yield node.lineno, "true division"
+        elif isinstance(node, ast.Constant) and type(node.value) in (float, complex):
+            yield node.lineno, f"literal {node.value!r}"
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+              and node.func.id in ("float", "round", "complex")):
+            yield node.lineno, f"{node.func.id}()"
+        elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+              and node.value.id == "math"):
+            yield node.lineno, f"math.{node.attr}"
+        elif isinstance(node, ast.ImportFrom) and node.module == "math":
+            for alias in node.names:
+                if alias.name != "gcd":
+                    yield node.lineno, f"from math import {alias.name}"
+
+
+def test_exact_modules_stay_exact():
+    """The decision modules use integers only: no true division, float or
+    complex literal, float(), round() or complex() call, math.* attribute,
+    or import from math but gcd.  Only the floating-point moment map and
+    its argument parser in verify.py are exempt, by function name."""
+    found = [
+        f"{name}:{line}: {what}"
+        for name in _EXACT_MODULES
+        for line, what in _inexact_nodes(
+            ast.parse((SRC / name).read_text(encoding="utf-8"), name),
+            _FLOAT_FUNCTIONS.get(name, set()),
+        )
+    ]
+    assert found == []
+
+
+def _bench_tracing_tables():
+    """FUNCTIONS and METHODS of bench/tracing.py, read from its source."""
+    tree = ast.parse((ROOT / "bench" / "tracing.py").read_text(encoding="utf-8"))
+    return {
+        node.targets[0].id: ast.literal_eval(node.value)
+        for node in tree.body
+        if isinstance(node, ast.Assign) and len(node.targets) == 1
+        and isinstance(node.targets[0], ast.Name) and node.targets[0].id in ("FUNCTIONS", "METHODS")
+    }
+
+
+def test_traced_names_resolve():
+    """The benchmark traces these names; a rename or deletion in the
+    package must fail here, not only in the benchmark's self-test."""
+    tables = _bench_tracing_tables()
+    assert tables["FUNCTIONS"] and tables["METHODS"]
+    missing = [
+        f"{module}.{name}"
+        for module, name in tables["FUNCTIONS"]
+        if not callable(getattr(importlib.import_module(f"conestab.{module}"), name, None))
+    ]
+    for module, cls_name, method, _ in tables["METHODS"]:
+        cls = getattr(importlib.import_module(f"conestab.{module}"), cls_name, None)
+        if not isinstance(cls, type) or method not in vars(cls):
+            missing.append(f"{module}.{cls_name}.{method}")
+    assert missing == []
