@@ -26,6 +26,7 @@ from conestab.graded import (
     graded_dim,
     hilbert_table,
 )
+from conestab.moment import MomentValue, moment_map
 from conestab.stability import (
     ALL_PATTERNS,
     StabilityClass,
@@ -42,12 +43,10 @@ from conestab.stability import (
 )
 from conestab.svg import fan_svg
 from conestab.verify import (
-    MomentValue,
     TrialConfig,
     VerifyReport,
     datum_stream,
     main_theorem_sides,
-    moment_map,
     random_datum,
     verify_hm_reduction,
     verify_intcone,

@@ -9,10 +9,10 @@ Subcommands:
   moment      evaluate the moment map at a point from the config
 
 Configs are single JSON documents with integer-array fields "A" (3x2),
-"B" (3x2), "C" (2); "wL"/"wR" (3x2) for biquotient mode; "z"/"w"
-(3 x [re, im]) for moment mode.  Integers may be given as decimal strings
-(an optional sign and ASCII digits) when they exceed safe double range;
-moment coordinates as strings in the JSON number grammar.
+"B" (3x2), "C" (2); "wL"/"wR" (3x2) for biquotient mode; "z"/"w" (three
+numbers or [re, im] pairs) for moment mode.  Integers may be given as
+decimal strings (an optional sign and ASCII digits) when they exceed safe
+double range; moment coordinates as strings in the JSON number grammar.
 
 Exit codes: 0 success, 1 internal invariant breach (including failed
 verification suites), 2 input error, 3 I/O error, 4 crash (any other
@@ -30,6 +30,7 @@ from dataclasses import dataclass
 
 from conestab.cones import ZERO, Cone2
 from conestab.graded import hilbert_table
+from conestab.moment import moment_map
 from conestab.stability import (
     ALL_PATTERNS,
     StabilityClass,
@@ -42,7 +43,7 @@ from conestab.stability import (
     weights_from_biquotient,
 )
 from conestab.svg import fan_svg
-from conestab.verify import VERIFY_SUITES, TrialConfig, moment_map
+from conestab.verify import VERIFY_SUITES, TrialConfig
 
 SUITE_NAMES = tuple(VERIFY_SUITES)
 
@@ -158,10 +159,9 @@ def canonical_json(obj) -> str:
 # A rejected value is named by its JSON type, never echoed: it may be huge.
 _JSON_TYPE_NAMES = {float: "a number with a fraction or exponent", list: "a list",
                     dict: "an object", type(None): "null"}
-# Integers from a config or the command line, and moment coordinate strings;
-# int() and float() alone also take underscores, spaces and other digits.
+# Integers from a config or the command line; int() alone also takes
+# underscores, spaces and other digits.
 _DECIMAL = re.compile(r"[+-]?[0-9]+")
-_JSON_NUMBER = re.compile(r"-?(?:0|[1-9][0-9]*)(?:\.[0-9]+)?(?:[eE][+-]?[0-9]+)?")
 
 
 def _decimal(text: str) -> int:
@@ -242,28 +242,6 @@ def datum_from_config(doc: dict, enforce_constraint: bool) -> WeightDatum:
         return WeightDatum(a=a, b=b, c=c, constrained=enforce_constraint)
     except ValueError as e:  # name the flag that waives the constant-sum check
         raise InputError(str(e).replace("constrained=False", "--no-constraint")) from None
-
-
-def complex3_from_config(doc: dict, key: str) -> tuple[complex, complex, complex]:
-    value = _field(doc, key)
-    if not isinstance(value, (list, tuple)) or len(value) != 3:
-        raise InputError(f"{key}: expected three [re, im] pairs")
-    out = []
-    for i, entry in enumerate(value):
-        if not isinstance(entry, (list, tuple)) or len(entry) != 2:
-            raise InputError(f"{key}[{i}]: expected an [re, im] pair")
-        if isinstance(entry[0], bool) or isinstance(entry[1], bool):
-            raise InputError(f"{key}[{i}]: expected a number, got a boolean")
-        if any(isinstance(x, str) and not _JSON_NUMBER.fullmatch(x) for x in entry):
-            raise InputError(f"{key}[{i}]: a string entry must be a JSON number")
-        try:
-            real, imag = float(entry[0]), float(entry[1])
-        except (TypeError, OverflowError):
-            raise InputError(f"{key}[{i}]: entries must be finite numbers") from None
-        if not (math.isfinite(real) and math.isfinite(imag)):
-            raise InputError(f"{key}[{i}]: entries must be finite numbers")
-        out.append(complex(real, imag))
-    return tuple(out)
 
 
 # ---------------------------------------------------------------- report
@@ -375,10 +353,11 @@ def _write_file(path: str, text: str) -> None:
         raise IOError(f"cannot write {path}: {e}") from None
 
 
-def _emit(args, payload, text: str) -> None:
-    """Write canonical_json(payload) under --json, else text, to stdout and
-    also to --out when the command has that flag."""
-    out = canonical_json(payload) if args.json else text
+def _emit(args, payload, text) -> None:
+    """Write canonical_json(payload()) under --json, else text(), to stdout
+    and also to --out when the command has that flag.  Each writer is a
+    callable, so only the one whose output is printed runs."""
+    out = canonical_json(payload()) if args.json else text()
     sys.stdout.write(out)
     if getattr(args, "out", None) is not None:
         _write_file(args.out, out)
@@ -395,7 +374,7 @@ def _load_datum(args) -> tuple[dict, WeightDatum]:
 def cmd_analyze(args) -> int:
     _, datum = _load_datum(args)
     report = build_analysis_report(datum, nmax=args.nmax)
-    _emit(args, report.as_dict(), render_report_text(report))
+    _emit(args, report.as_dict, lambda: render_report_text(report))
     return 0
 
 
@@ -407,6 +386,12 @@ def cmd_verify(args) -> int:
         enforce_constraint=not args.no_constraint,
     )
     report = VERIFY_SUITES[args.suite](cfg)
+    _emit(args, report.as_dict, lambda: _verify_text(report))
+    return 0 if report.passed else 1
+
+
+def _verify_text(report) -> str:
+    cfg = report.config
     lines = [
         f"suite: {report.suite}",
         f"seed: {cfg.seed}  trials: {cfg.trials}  bound: {cfg.coord_bound}  "
@@ -420,8 +405,7 @@ def cmd_verify(args) -> int:
     else:
         lines.append(f"first failure: {report.first_failure}")
         lines.append("FAIL")
-    _emit(args, report.as_dict(), "\n".join(lines) + "\n")
-    return 0 if report.passed else 1
+    return "\n".join(lines) + "\n"
 
 
 def cmd_fan_svg(args) -> int:
@@ -442,8 +426,8 @@ def cmd_fan_svg(args) -> int:
 def cmd_hilbert(args) -> int:
     _, datum = _load_datum(args)
     dims = _hilbert_table(datum, args.nmax)
-    lines = ["   n  dim"] + [f"{n:4d}  {dim}" for n, dim in enumerate(dims)]
-    _emit(args, {"nmax": args.nmax, "dims": dims}, "\n".join(lines) + "\n")
+    _emit(args, lambda: {"nmax": args.nmax, "dims": dims}, lambda: "".join(
+        ["   n  dim\n"] + [f"{n:4d}  {dim}\n" for n, dim in enumerate(dims)]))
     return 0
 
 
@@ -469,8 +453,7 @@ def cmd_biquotient(args) -> int:
         raise InputError(str(e)) from None
     _check_printable(datum)
     report = build_analysis_report(datum, nmax=args.nmax)
-    payload = report.as_dict()
-    payload["biquotient"] = {
+    biquotient = {
         "wL": [list(v) for v in w_left],
         "wR": [list(v) for v in w_right],
         "star_hypothesis": report.star,
@@ -479,24 +462,27 @@ def cmd_biquotient(args) -> int:
         f"derived from biquotient weights wL={list(w_left)} wR={list(w_right)}",
         f"fan condition for the derived weights: {_yesno(report.star)}",
     ]
-    _emit(args, payload, render_report_text(report, extra_lines=extra))
+    _emit(args, lambda: {**report.as_dict(), "biquotient": biquotient},
+          lambda: render_report_text(report, extra_lines=extra))
     return 0
 
 
 def cmd_moment(args) -> int:
-    doc, datum = _load_datum(args)
-    z = complex3_from_config(doc, "z")
-    w = complex3_from_config(doc, "w")
+    doc = load_config(args.config)
+    z, w = [_field(doc, key) for key in ("z", "w")]  # all present before any parse
+    datum = datum_from_config(doc, enforce_constraint=not args.no_constraint)
     try:
         value = moment_map(datum, z, w)
+    except ValueError as e:  # a malformed point
+        raise InputError(str(e)) from None
     except OverflowError:
         raise InputError("weights are beyond double range; the moment map cannot be evaluated") from None
     if not all(math.isfinite(x) for x in (*value.phi, value.residual)):
         raise InputError("the moment map overflows double precision at this point")
     _emit(
         args,
-        {"phi": [value.phi[0], value.phi[1]], "residual": value.residual},
-        f"phi = ({value.phi[0]!r}, {value.phi[1]!r})\nresidual = {value.residual!r}\n",
+        lambda: {"phi": [value.phi[0], value.phi[1]], "residual": value.residual},
+        lambda: f"phi = ({value.phi[0]!r}, {value.phi[1]!r})\nresidual = {value.residual!r}\n",
     )
     return 0
 

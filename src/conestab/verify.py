@@ -1,12 +1,10 @@
-"""Randomized and exhaustive consistency checks, plus the moment map.
+"""The five verification suites: randomized and exhaustive consistency
+checks, all in exact integer arithmetic.
 
 Every suite draws reproducible trial data from an explicit seed, compares
 two independently implemented answers, and reports the first failing
 datum verbatim.  A passing report means zero disagreements; any
 disagreement is an implementation bug, never acceptable noise.
-
-Floating point appears only in moment_map and never feeds the exact
-predicates.
 """
 
 from __future__ import annotations
@@ -14,7 +12,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from operator import index as _as_int
-from typing import Iterator, NamedTuple
+from typing import Iterator
 
 import numpy as np
 
@@ -410,49 +408,3 @@ VERIFY_SUITES = {
     "hm-reduction": verify_hm_reduction,
     "r0": verify_r0,
 }
-
-
-ComplexVec3 = tuple[complex, complex, complex]
-
-
-class MomentValue(NamedTuple):
-    phi: tuple[float, float]
-    residual: float
-
-
-def _as_complex3(point) -> ComplexVec3:
-    vals = list(point)
-    if len(vals) != 3:
-        raise ValueError("expected three complex coordinates")
-    out = []
-    for q in vals:
-        if isinstance(q, complex):
-            out.append(q)
-        elif isinstance(q, (int, float)):
-            out.append(complex(q))
-        else:
-            re, im = q
-            out.append(complex(float(re), float(im)))
-    return tuple(out)
-
-
-def moment_map(datum: WeightDatum, z, w) -> MomentValue:
-    """Weighted coordinate norms, plus the quadric residual of the point.
-
-    phi = sum_j (a_j |z_j|^2 + b_j |w_j|^2); the residual |sum z_j w_j|
-    lets callers check numerically whether the point lies on the quadric.
-    Double precision throughout; the result never feeds exact predicates.
-    """
-    zs = _as_complex3(z)
-    ws = _as_complex3(w)
-    px = py = 0.0
-    for (ax, ay), q in zip(datum.a, zs):
-        m = q.real * q.real + q.imag * q.imag
-        px += ax * m
-        py += ay * m
-    for (bx, by), q in zip(datum.b, ws):
-        m = q.real * q.real + q.imag * q.imag
-        px += bx * m
-        py += by * m
-    residual = abs(sum(zq * wq for zq, wq in zip(zs, ws)))
-    return MomentValue(phi=(px, py), residual=residual)

@@ -13,6 +13,7 @@ import pytest
 
 from conestab.cones import Cone2, strictly_separates
 from conestab.graded import hilbert_table
+from conestab.moment import moment_map
 from conestab.stability import (
     ALL_PATTERNS,
     WeightDatum,
@@ -23,7 +24,6 @@ from conestab.stability import (
 from conestab.verify import (
     TrialConfig,
     datum_stream,
-    moment_map,
     verify_hm_reduction,
     verify_intcone,
     verify_main_theorem,

@@ -54,6 +54,10 @@ def write_config(tmp_path, doc, name="cfg.json"):
     return str(path)
 
 
+# one config that analyze and biquotient both read
+REPORT_CONFIG = dict(FLAG_CONFIG, wL=[[0, 0], [0, 0], [0, 0]], wR=[[-1, 0], [0, 0], [1, 0]])
+
+
 def reference_json(doc):
     """The canonical form the --json writer promises."""
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
@@ -172,13 +176,33 @@ class TestAnalyze:
         code, _, err = run_cli(capsys, "analyze", cfg)
         assert code == 2
 
-    def test_out_writes_copy(self, capsys, flag_config, tmp_path):
-        out_path = tmp_path / "report.json"
-        code, out, _ = run_cli(
-            capsys, "analyze", flag_config, "--json", "--out", str(out_path)
-        )
+    @pytest.mark.parametrize("command", ["analyze", "biquotient"])
+    @pytest.mark.parametrize("flags", [[], ["--json"]], ids=["text", "json"])
+    def test_out_writes_copy(self, capsys, tmp_path, command, flags):
+        cfg = write_config(tmp_path, REPORT_CONFIG)
+        out_path = tmp_path / "report.out"
+        code, out, _ = run_cli(capsys, command, cfg, *flags, "--out", str(out_path))
         assert code == 0
         assert out_path.read_text() == out
+
+    @pytest.mark.parametrize("command", ["analyze", "biquotient"])
+    @pytest.mark.parametrize(
+        "flags, owner, unused",
+        [(["--json"], cli, "render_report_text"), ([], cli.AnalysisReport, "as_dict")],
+        ids=["json", "text"],
+    )
+    def test_only_the_printed_writer_runs(
+        self, capsys, tmp_path, monkeypatch, command, flags, owner, unused
+    ):
+        cfg = write_config(tmp_path, REPORT_CONFIG)
+        want = run_cli(capsys, command, cfg, *flags)
+
+        def refuse(*args, **kwargs):
+            raise RuntimeError(f"{unused} ran for output that is not printed")
+
+        monkeypatch.setattr(owner, unused, refuse)
+        assert run_cli(capsys, command, cfg, *flags) == want
+        assert want[0] == 0
 
     def test_unwritable_out_is_io_error(self, capsys, flag_config, tmp_path):
         code, _, err = run_cli(
@@ -430,6 +454,29 @@ class TestMomentCommand:
         code, _, err = run_cli(capsys, "moment", flag_config)
         assert code == 2
         assert "'z'" in err
+
+    def test_numbers_strings_and_pairs_are_one_point(self, capsys, tmp_path):
+        outs = set()
+        for z in ([[2, 0], [0, 1.5], [0, 0]], [2, [0, 1.5], 0], ["2", ["0", "1.5"], "0"]):
+            cfg = write_config(tmp_path, dict(FLAG_CONFIG, z=z, w=[0, [1, 0], 0.5]))
+            code, out, _ = run_cli(capsys, "moment", cfg, "--json")
+            assert code == 0
+            outs.add(out)
+        assert [json.loads(out) for out in outs] == [{"phi": [6.25, 1.25], "residual": 1.5}]
+
+    @pytest.mark.parametrize(
+        "z, message",
+        [
+            ("abc", "z: expected three coordinates, each a number or an [re, im] pair"),
+            ([1, 0], "z: expected three coordinates, each a number or an [re, im] pair"),
+            ([[1, 2, 3], 0, 0], "z[0]: expected a number or an [re, im] pair"),
+            ([0, None, 0], "z[1]: entries must be finite numbers"),
+        ],
+        ids=["string", "two-coordinates", "triple-entry", "null-entry"],
+    )
+    def test_malformed_point_is_named(self, capsys, tmp_path, z, message):
+        cfg = write_config(tmp_path, dict(FLAG_CONFIG, z=z, w=[0, 0, 0]))
+        assert run_cli(capsys, "moment", cfg) == (2, "", f"error: {message}\n")
 
 
 FLAG_MOMENT_TEXT = (
@@ -695,6 +742,7 @@ class TestConfigErrors:
         [
             ("analyze", {"A": [["x", 0], [1, 0], [1, 0]], "B": FLAG_CONFIG["B"]}, "'C'"),
             ("biquotient", {"wL": "x"}, "'wR'"),
+            ("moment", dict(FLAG_CONFIG, z=[[True, 0], [0, 0], [0, 0]]), "'w'"),
         ],
     )
     def test_missing_field_is_reported_before_a_malformed_one(

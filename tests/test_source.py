@@ -62,20 +62,13 @@ def test_self_checks_survive_optimize(tmp_path):
     ]
 
 
-# The exact modules, and the functions of theirs that may use floating point.
-_EXACT_MODULES = ("cones.py", "stability.py", "graded.py", "verify.py")
-_FLOAT_FUNCTIONS = {"verify.py": {"moment_map", "_as_complex3"}}
+# The modules that may use floating point; every other module is exact.
+_FLOAT_MODULES = {"cli.py", "moment.py", "svg.py"}
 
 
-def _inexact_nodes(tree: ast.AST, exempt: set[str]):
-    """(line, what) of every inexact construct in tree, outside the
-    functions named in exempt."""
-    stack = [tree]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, ast.FunctionDef) and node.name in exempt:
-            continue
-        stack.extend(ast.iter_child_nodes(node))
+def _inexact_nodes(tree: ast.AST):
+    """(line, what) of every inexact construct in tree."""
+    for node in ast.walk(tree):
         if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div):
             yield node.lineno, "true division"
         elif isinstance(node, ast.Constant) and type(node.value) in (float, complex):
@@ -93,17 +86,15 @@ def _inexact_nodes(tree: ast.AST, exempt: set[str]):
 
 
 def test_exact_modules_stay_exact():
-    """The decision modules use integers only: no true division, float or
-    complex literal, float(), round() or complex() call, math.* attribute,
-    or import from math but gcd.  Only the floating-point moment map and
-    its argument parser in verify.py are exempt, by function name."""
+    """Every module outside _FLOAT_MODULES uses integers only: no true
+    division, float or complex literal, float(), round() or complex() call,
+    math.* attribute, or import from math but gcd.  A new module is exact
+    unless it is named there."""
     found = [
-        f"{name}:{line}: {what}"
-        for name in _EXACT_MODULES
-        for line, what in _inexact_nodes(
-            ast.parse((SRC / name).read_text(encoding="utf-8"), name),
-            _FLOAT_FUNCTIONS.get(name, set()),
-        )
+        f"{path.name}:{line}: {what}"
+        for path in sorted(SRC.glob("*.py"))
+        if path.name not in _FLOAT_MODULES
+        for line, what in _inexact_nodes(ast.parse(path.read_text(encoding="utf-8"), path.name))
     ]
     assert found == []
 

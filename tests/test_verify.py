@@ -7,6 +7,7 @@ import pytest
 
 from conestab import verify
 from conestab.cones import Cone2, neg
+from conestab.moment import MomentValue, moment_map
 from conestab.stability import (
     ALL_PATTERNS,
     StabilityClass,
@@ -18,12 +19,10 @@ from conestab.stability import (
 )
 from conestab.verify import (
     VERIFY_SUITES,
-    MomentValue,
     TrialConfig,
     VerifyReport,
     datum_stream,
     main_theorem_sides,
-    moment_map,
     random_datum,
     verify_hm_reduction,
     verify_intcone,
@@ -359,6 +358,40 @@ class TestMomentMap:
     def test_rejects_wrong_arity(self):
         with pytest.raises(ValueError):
             moment_map(flag_datum(), (1, 0), (0, 0, 0))
+
+    def test_complex_real_and_pair_coordinates_agree(self):
+        d = flag_datum()
+        want = moment_map(d, (2 + 0j, 1.5j, 0j), (0j, 1 + 0j, 0.5 + 0j))
+        assert moment_map(d, (2, (0, 1.5), 0.0), [0, [1, 0], 0.5]) == want
+        assert moment_map(d, ("2", ("0", "1.5"), "0"), ("0", 1, "0.5")) == want
+
+    def test_strings_are_json_numbers(self):
+        d = flag_datum()
+        assert moment_map(d, ("12", 0, 0), (0, 1, 0)) == moment_map(d, (12, 0, 0), (0, 1, 0))
+        assert moment_map(d, ("12", 0, 0), (0, 1, 0)).phi == (144.0, 1.0)
+
+    @pytest.mark.parametrize(
+        "z, w, message",
+        [
+            ((True, 0, 0), (0, 0, 0), "z[0]: expected a number, got a boolean"),
+            ((0, 0, 0), (0, (1, False), 0), "w[1]: expected a number, got a boolean"),
+            ((0, float("nan"), 0), (0, 0, 0), "z[1]: entries must be finite numbers"),
+            ((0, 0, complex(0, float("inf"))), (0, 0, 0), "z[2]: entries must be finite numbers"),
+            (((" 1 ", "2"), 0, 0), (0, 0, 0), "z[0]: a string entry must be a JSON number"),
+            (((1, "2_0"), 0, 0), (0, 0, 0), "z[0]: a string entry must be a JSON number"),
+            ((0, 0, 0), "123", "w: expected three coordinates, each a number or an [re, im] pair"),
+            ((0, (1, 2, 3), 0), (0, 0, 0), "z[1]: expected a number or an [re, im] pair"),
+            (iter((0, 0, 0)), (0, 0, 0), "z: expected three coordinates"),
+            ((True, 0, 0), "w", "z[0]: expected a number, got a boolean"),
+        ],
+        ids=["bool", "bool-in-pair", "nan", "inf-imaginary", "spaced-string",
+             "underscored-string", "string-container", "triple-entry", "iterator",
+             "z-before-w"],
+    )
+    def test_malformed_points_are_named(self, z, w, message):
+        with pytest.raises(ValueError) as e:
+            moment_map(flag_datum(), z, w)
+        assert str(e.value).startswith(message)
 
     def test_real_scaling_homogeneity(self):
         rng = random.Random(404)
