@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import re
 import sys
 from dataclasses import dataclass
@@ -206,15 +205,14 @@ def _to_vec2_triple(value, name: str) -> tuple[tuple[int, int], ...]:
 
 
 def load_config(path: str) -> dict:
-    def finite(text: str) -> float:
-        value = float(text)
-        if not math.isfinite(value):
-            raise InputError(f"config {path}: non-finite number {text} is not allowed")
-        return value
+    """The config's JSON object.  A fraction stays a float, infinite when
+    beyond double range, for the field that reads it to reject."""
+    def non_finite(text: str):
+        raise InputError(f"config {path}: non-finite number {text} is not allowed")
 
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh, parse_constant=finite, parse_float=finite)
+            doc = json.load(fh, parse_constant=non_finite)
     except OSError as e:
         raise InputError(f"cannot read config {path}: {e}") from None
     except UnicodeDecodeError as e:
@@ -279,10 +277,12 @@ class AnalysisReport:
         }
 
 
-def _hilbert_table(datum: WeightDatum, nmax: int) -> list[int]:
+def _checked(func, *args):
+    """func(*args), with its ValueError, the library's mark of a bad
+    input, as InputError."""
     try:
-        return hilbert_table(datum, nmax)
-    except ValueError as e:  # infinite dimensions, or work past graded.MAX_TABLE_WORK
+        return func(*args)
+    except ValueError as e:
         raise InputError(str(e)) from None
 
 
@@ -311,7 +311,7 @@ def build_analysis_report(datum: WeightDatum, nmax: int | None = None) -> Analys
     # weight is zero.
     ws = datum.weights()
     apex = trivial or (ZERO in ws and Cone2(ws).has_apex())
-    hilbert = None if nmax is None else _hilbert_table(datum, nmax)
+    hilbert = None if nmax is None else _checked(hilbert_table, datum, nmax)
     return AnalysisReport(datum=datum, apex=apex, star=star, r0_trivial=trivial, hilbert=hilbert)
 
 
@@ -410,12 +410,7 @@ def _verify_text(report) -> str:
 
 def cmd_fan_svg(args) -> int:
     _, datum = _load_datum(args)
-    try:
-        svg = fan_svg(datum, shade=args.shade)
-    except OverflowError:
-        raise InputError(
-            "a weight direction is beyond double range; the fan cannot be drawn"
-        ) from None
+    svg = _checked(fan_svg, datum, args.shade)
     if args.out is None:
         sys.stdout.write(svg)
     else:
@@ -425,7 +420,7 @@ def cmd_fan_svg(args) -> int:
 
 def cmd_hilbert(args) -> int:
     _, datum = _load_datum(args)
-    dims = _hilbert_table(datum, args.nmax)
+    dims = _checked(hilbert_table, datum, args.nmax)
     _emit(args, lambda: {"nmax": args.nmax, "dims": dims}, lambda: "".join(
         ["   n  dim\n"] + [f"{n:4d}  {dim}\n" for n, dim in enumerate(dims)]))
     return 0
@@ -447,10 +442,7 @@ def cmd_biquotient(args) -> int:
     doc = load_config(args.config)
     w_left, w_right = [_field(doc, key) for key in ("wL", "wR")]
     w_left, w_right = _to_vec2_triple(w_left, "wL"), _to_vec2_triple(w_right, "wR")
-    try:
-        datum = weights_from_biquotient(w_left, w_right)
-    except ValueError as e:
-        raise InputError(str(e)) from None
+    datum = _checked(weights_from_biquotient, w_left, w_right)
     _check_printable(datum)
     report = build_analysis_report(datum, nmax=args.nmax)
     biquotient = {
@@ -471,14 +463,7 @@ def cmd_moment(args) -> int:
     doc = load_config(args.config)
     z, w = [_field(doc, key) for key in ("z", "w")]  # all present before any parse
     datum = datum_from_config(doc, enforce_constraint=not args.no_constraint)
-    try:
-        value = moment_map(datum, z, w)
-    except ValueError as e:  # a malformed point
-        raise InputError(str(e)) from None
-    except OverflowError:
-        raise InputError("weights are beyond double range; the moment map cannot be evaluated") from None
-    if not all(math.isfinite(x) for x in (*value.phi, value.residual)):
-        raise InputError("the moment map overflows double precision at this point")
+    value = _checked(moment_map, datum, z, w)
     _emit(
         args,
         lambda: {"phi": [value.phi[0], value.phi[1]], "residual": value.residual},

@@ -9,6 +9,7 @@ moment point, shared by the library and the ``moment`` command.
 from __future__ import annotations
 
 import math
+import numbers
 import re
 from typing import NamedTuple
 
@@ -28,8 +29,8 @@ def _real(x, name: str) -> float:
         raise ValueError(f"{name}: expected a number, got a boolean")
     if isinstance(x, str) and not _JSON_NUMBER.fullmatch(x):
         raise ValueError(f"{name}: a string entry must be a JSON number")
-    try:
-        value = float(x)
+    try:  # numbers.Number leaves out numpy booleans, which float() reads as 0 or 1
+        value = float(x) if isinstance(x, (str, numbers.Number)) else math.nan
     except (TypeError, ValueError, OverflowError):
         value = math.nan
     if not math.isfinite(value):
@@ -61,14 +62,24 @@ def moment_map(datum: WeightDatum, z, w) -> MomentValue:
 
     phi = sum_j (a_j |z_j|^2 + b_j |w_j|^2); the residual |sum z_j w_j|
     lets callers check numerically whether the point lies on the quadric.
-    z and w are parsed by ``_point``, z first.
+    z and w are parsed by ``_point``, z first.  ValueError also when a
+    weight is beyond double range, or phi or the residual is not finite.
     """
     zs = _point(z, "z")
     ws = _point(w, "w")
+    try:
+        weights = [(float(ax), float(ay)) for ax, ay in datum.a + datum.b]
+    except OverflowError:
+        raise ValueError("weights are beyond double range; the moment map cannot be evaluated") from None
     px = py = 0.0
-    for (ax, ay), q in zip(datum.a + datum.b, zs + ws):
+    for (ax, ay), q in zip(weights, zs + ws):
         m = q.real * q.real + q.imag * q.imag
         px += ax * m
         py += ay * m
-    residual = abs(sum(zq * wq for zq, wq in zip(zs, ws)))
+    try:
+        residual = abs(sum(zq * wq for zq, wq in zip(zs, ws)))
+    except OverflowError:  # finite parts, but a modulus past double range
+        residual = math.inf
+    if not all(math.isfinite(x) for x in (px, py, residual)):
+        raise ValueError("the moment map overflows double precision at this point")
     return MomentValue(phi=(px, py), residual=residual)

@@ -34,6 +34,13 @@ def _primitive(v):
     return (v[0] // g, v[1] // g)
 
 
+def _angle(v) -> float:
+    try:
+        return math.atan2(v[1], v[0])
+    except OverflowError:
+        raise ValueError("a weight direction is beyond double range; the fan cannot be drawn") from None
+
+
 def _ray_entries(datum: WeightDatum):
     entries = []
     for i, v in enumerate(datum.a, start=1):
@@ -64,10 +71,8 @@ def _wedge_paths(datum: WeightDatum) -> list[str]:
                     f"  <!-- cone(A{i}, B{j}) is degenerate; no interior to shade -->"
                 )
                 continue
-            ang_a = math.atan2(a[1], a[0])
-            ang_b = math.atan2(b[1], b[0])
-            xa, ya = _screen_point(ang_a, _RAY)
-            xb, yb = _screen_point(ang_b, _RAY)
+            xa, ya = _screen_point(_angle(a), _RAY)
+            xb, yb = _screen_point(_angle(b), _RAY)
             # sweep from A toward B through the sector of the cone; on
             # screen the y-flip reverses the rotation sense
             sweep = "1" if d > 0 else "0"
@@ -84,7 +89,8 @@ def fan_svg(datum: WeightDatum, shade: bool = False) -> str:
     """Render the fan of weight rays as a standalone SVG document.
 
     With shade=True the sectors spanned by the mixed pairs (A_i, B_j),
-    i != j, are filled translucently underneath the rays.
+    i != j, are filled translucently underneath the rays.  ValueError
+    when a ray direction it must draw is beyond double range.
     """
     lines = [
         f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 {SVG_SIZE} {SVG_SIZE}" '
@@ -116,7 +122,7 @@ def fan_svg(datum: WeightDatum, shade: bool = False) -> str:
                 f"  <!-- rays {names} share direction {prim}; "
                 f"drawn with small angular offsets -->"
             )
-        base = math.atan2(prim[1], prim[0])
+        base = _angle(prim)
         for k, (name, v, kind) in enumerate(members):
             angle = base + (k - (len(members) - 1) / 2) * _OFFSET_STEP
             x2, y2 = _screen_point(angle, _RAY)

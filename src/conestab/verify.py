@@ -306,6 +306,7 @@ def verify_hm_reduction(cfg: TrialConfig, sweep_bound: int = 50) -> VerifyReport
     the distinct rows are kept, and all 64 patterns are tested against
     them by mask (``_sweep_flags``).
     """
+    sweep_bound = _as_int(sweep_bound)  # a float would sweep a truncated, lopsided box
     if sweep_bound <= 0:
         raise ValueError("sweep_bound must be positive")
     report = VerifyReport(suite="hm-reduction", config=cfg)

@@ -553,36 +553,61 @@ def run_module(*argv):
     )
 
 
+MOMENT_WEIGHTS_BEYOND_DOUBLE = "weights are beyond double range; the moment map cannot be evaluated"
+MOMENT_OVERFLOW = "the moment map overflows double precision at this point"
+FAN_BEYOND_DOUBLE = "a weight direction is beyond double range; the fan cannot be drawn"
+NOT_FINITE = "z[0]: entries must be finite numbers"
+# phi cancels to (0, 0), but |sum z_j w_j| = |c + ci| is past double range
+RESIDUAL_PAST_DOUBLE = {
+    "A": [[1, 0], [-1, 0], [0, 1]],
+    "B": [[1, 0], [-1, 0], [0, 1]],
+    "C": [1, 1],
+    "z": [1.3e154, 1.3e154, 0],
+    "w": [1.3e154, [0, 1.3e154], 0],
+}
+
+
 class TestConfigErrors:
+    # message is the whole stderr line after "error: ", with {cfg} for the
+    # config path; None checks the prefix only
     @pytest.mark.parametrize(
-        "argv, content",
+        "argv, content, message",
         [
-            (["analyze"], b'{"A": "\xff\xfe"}'),
-            (["analyze"], b"[" * 100_000 + b"]" * 100_000),
-            (["moment", "--json"], (FLAG_MOMENT_TEXT % "NaN").encode()),
-            (["moment", "--json"], (FLAG_MOMENT_TEXT % "1e999").encode()),
-            (["moment", "--json"], moment_config_bytes("nan")),
-            (["moment", "--json"], moment_config_bytes("1e999")),
-            (["moment", "--json"], moment_config_bytes(int(BEYOND_DOUBLE))),
-            (["moment", "--json"], moment_config_bytes(1, a=BEYOND_DOUBLE)),
-            (["moment", "--json"], moment_config_bytes(1e200)),
-            (["moment"], moment_config_bytes(1e200)),
-            (["moment", "--json"], moment_config_bytes(1e300, w0=1e300)),
-            (["analyze"], (FLAG_MOMENT_TEXT % DIGITS_4301).encode()),
-            (["moment", "--json"], (FLAG_MOMENT_TEXT % DIGITS_4301).encode()),
-            (["fan-svg"], huge_weight_config_bytes([BEYOND_DOUBLE, 1])),
-            (["fan-svg", "--shade"], huge_weight_config_bytes([BEYOND_DOUBLE, 0])),
-            (["biquotient"], json.dumps(DERIVED_PAST_DIGIT_LIMIT).encode()),
-            (["analyze"], json.dumps(SUMS_PAST_DIGIT_LIMIT).encode()),
-            (["hilbert", "--no-constraint", "--nmax", "1"], json.dumps(HUGE_A1_TABLE).encode()),
-            (["hilbert", "--no-constraint"], json.dumps(WITNESS_PAST_DIGIT_LIMIT).encode()),
-            (["analyze", "--no-constraint", "--nmax", "1"], json.dumps(WITNESS_PAST_DIGIT_LIMIT).encode()),
+            (["analyze"], b'{"A": "\xff\xfe"}', None),
+            (["analyze"], b"[" * 100_000 + b"]" * 100_000, None),
+            (["moment", "--json"], (FLAG_MOMENT_TEXT % "NaN").encode(),
+             "config {cfg}: non-finite number NaN is not allowed"),
+            (["moment", "--json"], (FLAG_MOMENT_TEXT % "1e999").encode(), NOT_FINITE),
+            (["moment", "--json"], (FLAG_MOMENT_TEXT % 1).replace("[[1, 0]", "[[1e999, 0]", 1).encode(),
+             "A[0]: expected an integer or decimal string, got a number with a fraction or exponent"),
+            (["moment", "--json"], moment_config_bytes("nan"),
+             "z[0]: a string entry must be a JSON number"),
+            (["moment", "--json"], moment_config_bytes("1e999"), NOT_FINITE),
+            (["moment", "--json"], moment_config_bytes(int(BEYOND_DOUBLE)), NOT_FINITE),
+            (["moment", "--json"], moment_config_bytes(1, a=BEYOND_DOUBLE), MOMENT_WEIGHTS_BEYOND_DOUBLE),
+            (["moment", "--json"], moment_config_bytes(1e200), MOMENT_OVERFLOW),
+            (["moment"], moment_config_bytes(1e200), MOMENT_OVERFLOW),
+            (["moment", "--json"], moment_config_bytes(1e300, w0=1e300), MOMENT_OVERFLOW),
+            (["moment", "--no-constraint"], json.dumps(RESIDUAL_PAST_DOUBLE).encode(), MOMENT_OVERFLOW),
+            (["analyze"], (FLAG_MOMENT_TEXT % DIGITS_4301).encode(), None),
+            (["moment", "--json"], (FLAG_MOMENT_TEXT % DIGITS_4301).encode(),
+             "config {cfg} is not valid JSON: Exceeds the limit (4300 digits) for integer string "
+             "conversion: value has 4301 digits; use sys.set_int_max_str_digits() to increase the limit"),
+            (["fan-svg"], huge_weight_config_bytes([BEYOND_DOUBLE, 1]), FAN_BEYOND_DOUBLE),
+            (["fan-svg", "--shade"], huge_weight_config_bytes([BEYOND_DOUBLE, 0]), FAN_BEYOND_DOUBLE),
+            (["biquotient"], json.dumps(DERIVED_PAST_DIGIT_LIMIT).encode(), None),
+            (["analyze"], json.dumps(SUMS_PAST_DIGIT_LIMIT).encode(), None),
+            (["hilbert", "--no-constraint", "--nmax", "1"], json.dumps(HUGE_A1_TABLE).encode(), None),
+            (["hilbert", "--no-constraint"], json.dumps(WITNESS_PAST_DIGIT_LIMIT).encode(), None),
+            (["analyze", "--no-constraint", "--nmax", "1"], json.dumps(WITNESS_PAST_DIGIT_LIMIT).encode(),
+             None),
         ],
         ids=[
             "non-utf8",
             "deeply-nested",
             "nan",
             "overflowing-float",
+            "overflowing-float-weight",
             "moment-nan-string",
             "moment-overflowing-string",
             "moment-integer-beyond-double",
@@ -590,6 +615,7 @@ class TestConfigErrors:
             "moment-infinite-phi",
             "moment-infinite-phi-text",
             "moment-infinite-residual",
+            "moment-residual-modulus-past-double",
             "analyze-4301-digit-integer",
             "moment-4301-digit-integer",
             "fan-svg-weight-beyond-double",
@@ -601,14 +627,25 @@ class TestConfigErrors:
             "analyze-witness-past-digit-limit",
         ],
     )
-    def test_bad_config_exits_2_without_traceback(self, tmp_path, argv, content):
+    def test_bad_config_exits_2_without_traceback(self, tmp_path, argv, content, message):
         cfg = tmp_path / "cfg.json"
         cfg.write_bytes(content)
         proc = run_module(argv[0], str(cfg), *argv[1:])
         assert proc.returncode == 2
         assert proc.stderr.startswith("error: ")
+        if message is not None:
+            assert proc.stderr == f"error: {message.format(cfg=cfg)}\n"
         assert "Traceback" not in proc.stderr
         assert proc.stdout == ""
+
+    def test_fraction_in_an_unread_field_is_ignored(self, tmp_path, capsys, flag_config):
+        # a number past double range is judged by the field that reads it,
+        # never on load
+        cfg = tmp_path / "noted.json"
+        cfg.write_text(json.dumps(FLAG_CONFIG)[:-1] + ', "note": 1e999}')
+        result = run_cli(capsys, "analyze", str(cfg))
+        assert result[0] == 0
+        assert result == run_cli(capsys, "analyze", flag_config)
 
     @pytest.mark.parametrize("z0, w0, name", [(True, 0, "z[0]"), (1, False, "w[0]")])
     def test_boolean_coordinate_named_by_type(self, tmp_path, capsys, z0, w0, name):

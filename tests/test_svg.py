@@ -3,6 +3,8 @@
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
+import pytest
+
 from conestab.stability import WeightDatum, flag_datum
 from conestab.svg import fan_svg
 
@@ -76,6 +78,17 @@ class TestFanSvg:
         assert "<path " not in plain
         assert shaded.count("<path ") == 6
         assert "Int cone(A1, B2)" in shaded
+
+    @pytest.mark.parametrize("shade", [False, True])
+    def test_weight_beyond_double_range_raises_value_error(self, shade):
+        d = WeightDatum(
+            a=((10**400, 1), (1, 0), (0, 1)),
+            b=((-10**400, -1), (-1, 0), (0, -1)),
+            c=(1, 1),
+        )
+        with pytest.raises(ValueError) as e:
+            fan_svg(d, shade=shade)
+        assert str(e.value) == "a weight direction is beyond double range; the fan cannot be drawn"
 
     def test_degenerate_wedge_annotated(self):
         # A1 and B2 are collinear, so that sector has no interior

@@ -2,7 +2,10 @@
 
 import cmath
 import random
+from decimal import Decimal
+from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from conestab import verify
@@ -208,6 +211,11 @@ class TestHmReductionSuite:
         assert report.details["exact_cross_checks"] > 0
         assert report.details["exact_fallback_data"] == 0
 
+    def test_sweep_bound_is_an_integer(self):
+        # a float would sweep the lopsided box [-2, 3] and report 2.5
+        with pytest.raises(TypeError):
+            verify_hm_reduction(TrialConfig(trials=2), sweep_bound=2.5)
+
     def test_exact_fallback_on_huge_coordinates(self):
         cfg = TrialConfig(seed=5, trials=2, coord_bound=2**61)
         report = verify_hm_reduction(cfg, sweep_bound=3)
@@ -335,6 +343,14 @@ class TestR0Suite:
         assert report.first_failure.startswith(message)
 
 
+BEYOND_DOUBLE = "weights are beyond double range; the moment map cannot be evaluated"
+OVERFLOW = "the moment map overflows double precision at this point"
+
+
+def with_a1(a1):
+    return WeightDatum(a=(a1, (1, 0), (1, 0)), b=((0, 1),) * 3, c=(1, 1), constrained=False)
+
+
 class TestMomentMap:
     def test_flag_point(self):
         out = moment_map(flag_datum(), (1, 0, 0), (0, 1, 0))
@@ -364,6 +380,9 @@ class TestMomentMap:
         want = moment_map(d, (2 + 0j, 1.5j, 0j), (0j, 1 + 0j, 0.5 + 0j))
         assert moment_map(d, (2, (0, 1.5), 0.0), [0, [1, 0], 0.5]) == want
         assert moment_map(d, ("2", ("0", "1.5"), "0"), ("0", 1, "0.5")) == want
+        # numpy integers and floats, Fraction and Decimal are numbers too
+        assert moment_map(d, (np.int64(2), (Fraction(0), Decimal("1.5")), np.float64(0)),
+                          (0, 1, 0.5)) == want
 
     def test_strings_are_json_numbers(self):
         d = flag_datum()
@@ -383,15 +402,36 @@ class TestMomentMap:
             ((0, (1, 2, 3), 0), (0, 0, 0), "z[1]: expected a number or an [re, im] pair"),
             (iter((0, 0, 0)), (0, 0, 0), "z: expected three coordinates"),
             ((True, 0, 0), "w", "z[0]: expected a number, got a boolean"),
+            # not a numbers.Number, though float() would read it as 1.0
+            ((np.bool_(True), 0, 0), (0, 0, 0), "z[0]: entries must be finite numbers"),
         ],
         ids=["bool", "bool-in-pair", "nan", "inf-imaginary", "spaced-string",
              "underscored-string", "string-container", "triple-entry", "iterator",
-             "z-before-w"],
+             "z-before-w", "numpy-bool"],
     )
     def test_malformed_points_are_named(self, z, w, message):
         with pytest.raises(ValueError) as e:
             moment_map(flag_datum(), z, w)
         assert str(e.value).startswith(message)
+
+    @pytest.mark.parametrize(
+        "datum, z, w, message",
+        [
+            (with_a1((10**400, 0)), (1, 0, 0), (0, 1, 0), BEYOND_DOUBLE),
+            (with_a1((10**300, 0)), (1e200, 0, 0), (0, 1, 0), OVERFLOW),  # phi would be (inf, nan)
+            (flag_datum(), (1e300, 0, 0), (1e300, 1, 0), OVERFLOW),  # residual would be inf
+            # the phi terms of z_1 and w_1 cancel those of z_0 and w_0, but
+            # |sum z_j w_j| = |c + ci| is past double range
+            (WeightDatum(a=((1, 0), (-1, 0), (0, 1)), b=((1, 0), (-1, 0), (0, 1)), c=(1, 1),
+                         constrained=False),
+             (1.3e154, 1.3e154, 0), (1.3e154, 1.3e154j, 0), OVERFLOW),
+        ],
+        ids=["weight-beyond-double", "infinite-phi", "infinite-residual", "residual-modulus"],
+    )
+    def test_float_failures_raise_value_error(self, datum, z, w, message):
+        with pytest.raises(ValueError) as e:
+            moment_map(datum, z, w)
+        assert str(e.value) == message
 
     def test_real_scaling_homogeneity(self):
         rng = random.Random(404)
