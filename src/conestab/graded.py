@@ -196,6 +196,7 @@ def graded_dim(datum: WeightDatum, degree: int) -> int:
     DP states and walk-back steps.  When the degree-0 invariants are
     nontrivial it raises ValueError naming a witness invariant monomial.
     """
+    degree = _as_int(degree)  # a float would key the cache as its integer twin
     if degree < 0:
         raise ValueError("degree must be nonnegative")
     return _table(datum, degree)[degree]
@@ -208,6 +209,7 @@ def hilbert_table(datum: WeightDatum, n_max: int) -> list[int]:
     states and walk-back steps, and ValueError naming a witness invariant
     monomial when the degree-0 invariants are nontrivial.
     """
+    n_max = _as_int(n_max)
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
     graded_dim(datum, n_max)  # fills the cache entry copied out below

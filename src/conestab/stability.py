@@ -21,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
+from operator import index as _as_int
 
 from conestab.cones import (
     Cone2,
@@ -59,8 +60,8 @@ class SupportPattern:
     _mask: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        z = frozenset(self.z_support)
-        w = frozenset(self.w_support)
+        z = frozenset(map(_as_int, self.z_support))
+        w = frozenset(map(_as_int, self.w_support))
         for s in (z, w):
             if not s.issubset(_INDICES):
                 raise ValueError(f"support indices must lie in {{1, 2, 3}}, got {sorted(s)}")
@@ -193,17 +194,8 @@ _ALL_BITS = (1 << 64) - 1
 _BY_RANK = (StabilityClass.UNSTABLE, StabilityClass.STRICTLY_SEMISTABLE, StabilityClass.STABLE)
 
 
-def _submask_bits() -> tuple[int, ...]:
-    """Entry d is the bitset of the submasks of d: those of d without its
-    lowest bit, each also with that bit added."""
-    table = [1]
-    for d in range(1, 64):
-        rest = table[d & (d - 1)]
-        table.append(rest | rest << (d & -d))
-    return tuple(table)
-
-
-_SUBMASK_BITS = _submask_bits()
+# Entry d is the bitset of the masks within d.
+_SUBMASK_BITS = tuple(sum(1 << s for s in range(64) if s & ~d == 0) for d in range(64))
 
 
 def _one_ps_table(datum: WeightDatum) -> tuple[int, int]:
@@ -276,25 +268,11 @@ def classify_by_one_ps(datum: WeightDatum, pattern: SupportPattern) -> Stability
     return _BY_RANK[(semistable >> m & 1) + (stable >> m & 1)]
 
 
-def _cone_bit_tables() -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Entry m of the first table is the bitset of the masks containing m:
-    those containing m and its lowest missing bit, each also without that
-    bit.  Entry d of the second is the bitset of the masks with a weight
-    outside d, the union of the first table's entries for those weights."""
-    up = [0] * 64
-    up[63] = 1 << 63
-    for m in range(62, -1, -1):
-        bit = ~m & (m + 1)
-        above = up[m | bit]
-        up[m] = above | above >> bit
-    outside = [0] * 64
-    for d in range(62, -1, -1):
-        bit = ~d & (d + 1)
-        outside[d] = outside[d | bit] | up[bit]
-    return tuple(up), tuple(outside)
-
-
-_SUPERMASK_BITS, _ESCAPING_BITS = _cone_bit_tables()
+# The cone classifier's own tables: entry m of the first is the bitset of
+# the masks containing m, entry d of the second that of the masks with a
+# weight outside d.
+_SUPERMASK_BITS = tuple(sum(1 << s for s in range(64) if s & m == m) for m in range(64))
+_ESCAPING_BITS = tuple(sum(1 << s for s in range(64) if s & ~d) for d in range(64))
 
 
 def _cone_table(datum: WeightDatum) -> tuple[int, int]:

@@ -236,6 +236,9 @@ def verify_intcone(cfg: TrialConfig) -> VerifyReport:
     return report
 
 
+MAX_SWEEP_BOUND = 200
+
+
 def _primitive_direction_array(sweep_bound: int) -> np.ndarray:
     side = np.arange(-sweep_bound, sweep_bound + 1, dtype=np.int64)
     xs, ys = np.meshgrid(side, side, indexing="ij")
@@ -256,43 +259,38 @@ def _sweep_columns(datum: WeightDatum, sweep_bound: int) -> np.ndarray:
     return np.array(ws, dtype=np.int64 if 2 * big * sweep_bound < 2**62 else object)
 
 
-# Column i - 1 pairs with a_i, column j + 2 with b_j and column 6 with -c.
-# A pattern's weight at a direction is minus the least pairing over its
-# columns; its mask has one bit per column.
-_SWEEP_PATTERN_COLUMNS = tuple(
-    tuple(sorted(i - 1 for i in p.z_support))
-    + tuple(sorted(j + 2 for j in p.w_support))
-    + (6,)
-    for p in ALL_PATTERNS
-)
-_PATTERN_MASKS = np.array(
-    [[sum(1 << k for k in columns)] for columns in _SWEEP_PATTERN_COLUMNS], dtype=np.int64
+# Column i - 1 pairs with a_i, column j + 2 with b_j and column 6 with -c,
+# so a pattern's columns are its _mask plus bit 6.  A pattern's weight at a
+# direction is minus the least pairing over its columns.  Entry k of the
+# table is the bitset of the patterns whose columns lie in the column mask
+# k: none without column 6, else the submasks of k's other six bits.
+_PATTERNS_WITHIN = (0,) * 64 + tuple(
+    sum(1 << s for s in range(64) if s & ~d == 0) for d in range(64)
 )
 _COLUMN_BITS = 1 << np.arange(7, dtype=np.int64)
 # a direction's row of seven signs is one base-3 code, digit k = sign + 1
 _SIGN_DIGITS = 3 ** np.arange(7, dtype=np.int64)
 
 
-def _sweep_flags(cols: np.ndarray, dirs: np.ndarray) -> list[tuple[bool, bool]]:
-    """(found_negative, found_zero) for each pattern of ALL_PATTERNS, from a
-    datum's sweep columns (``_sweep_columns``) and the sweep's directions.
-
-    found_negative: some direction of dirs gives the pattern a negative
-    weight, i.e. pairs every column of the pattern positively.
-    found_zero: some direction gives it weight zero, i.e. pairs every
-    column nonnegatively and one of them to zero.  Each direction reduces
-    to its row of signs; only the few dozen distinct rows are tested, by
-    mask, against the 64 patterns.
+def _sweep_bits(cols: np.ndarray, dirs: np.ndarray) -> tuple[int, int]:
+    """(negative, zero): the patterns, as bitsets, to which some direction of
+    dirs gives a negative weight (pairs each of their columns positively),
+    and those to which one gives weight zero (pairs each nonnegatively and
+    one to zero), from a datum's sweep columns (``_sweep_columns``).  Each
+    direction reduces to its row of signs; only the few dozen distinct rows
+    are looked up.
     """
     vals = dirs @ cols.T
     codes = np.asarray((np.sign(vals) + 1) @ _SIGN_DIGITS, dtype=np.int64)
     digits = np.flatnonzero(np.bincount(codes))[:, None] // _SIGN_DIGITS % 3
-    positive = (digits == 2) @ _COLUMN_BITS
-    nonnegative = (digits >= 1) @ _COLUMN_BITS
-    m = _PATTERN_MASKS
-    all_positive = (positive & m) == m  # (patterns, distinct rows)
-    found_zero = ((nonnegative & m) == m) & ~all_positive
-    return list(zip(all_positive.any(axis=1).tolist(), found_zero.any(axis=1).tolist()))
+    positive = ((digits == 2) @ _COLUMN_BITS).tolist()
+    nonnegative = ((digits >= 1) @ _COLUMN_BITS).tolist()
+    negative = zero = 0
+    for pos, nonneg in zip(positive, nonnegative):
+        within = _PATTERNS_WITHIN[pos]
+        negative |= within
+        zero |= _PATTERNS_WITHIN[nonneg] & ~within
+    return negative, zero
 
 
 def verify_hm_reduction(cfg: TrialConfig, sweep_bound: int = 50) -> VerifyReport:
@@ -304,11 +302,12 @@ def verify_hm_reduction(cfg: TrialConfig, sweep_bound: int = 50) -> VerifyReport
     critical-direction reduction in the classifier is wrong.  Each datum
     is swept once: every direction's pairings reduce to a row of signs,
     the distinct rows are kept, and all 64 patterns are tested against
-    them by mask (``_sweep_flags``).
+    them by mask (``_sweep_bits``).  The direction box has (2 *
+    sweep_bound + 1)**2 points, so sweep_bound is capped at MAX_SWEEP_BOUND.
     """
     sweep_bound = _as_int(sweep_bound)  # a float would sweep a truncated, lopsided box
-    if sweep_bound <= 0:
-        raise ValueError("sweep_bound must be positive")
+    if not 0 < sweep_bound <= MAX_SWEEP_BOUND:
+        raise ValueError(f"sweep_bound must lie in 1..{MAX_SWEEP_BOUND}")
     report = VerifyReport(suite="hm-reduction", config=cfg)
     report.details["sweep_bound"] = sweep_bound
     dirs = _primitive_direction_array(sweep_bound)
@@ -321,17 +320,16 @@ def verify_hm_reduction(cfg: TrialConfig, sweep_bound: int = 50) -> VerifyReport
         use_int64 = cols.dtype == np.int64
         if not use_int64:
             fallback_data += 1
-        flags = _sweep_flags(cols, dirs)
+        negative, zero = _sweep_bits(cols, dirs)
         for idx, p in enumerate(ALL_PATTERNS):
             verdict = classify_by_one_ps(d, p)
             report.checked += 1
-            found_negative, found_zero = flags[idx]
-            if found_negative and verdict is not StabilityClass.UNSTABLE:
+            if negative >> p._mask & 1 and verdict is not StabilityClass.UNSTABLE:
                 report.record_failure(
                     f"sweep found destabilizing direction but verdict is "
                     f"{verdict} for pattern {p} of {d!r}"
                 )
-            elif found_zero and verdict is StabilityClass.STABLE:
+            elif zero >> p._mask & 1 and verdict is StabilityClass.STABLE:
                 report.record_failure(
                     f"sweep found a zero-weight direction but verdict is "
                     f"Stable for pattern {p} of {d!r}"
@@ -342,7 +340,8 @@ def verify_hm_reduction(cfg: TrialConfig, sweep_bound: int = 50) -> VerifyReport
                 alpha = (int(dirs[row, 0]), int(dirs[row, 1]))
                 exact = hm_weight(d, p, alpha)
                 pairings = dirs[row] @ cols.T
-                swept = -min(int(pairings[k]) for k in _SWEEP_PATTERN_COLUMNS[idx])
+                columns = p._mask | 64
+                swept = -min(int(pairings[k]) for k in range(7) if columns >> k & 1)
                 cross_checks += 1
                 if exact != swept:
                     report.record_failure(

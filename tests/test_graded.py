@@ -4,6 +4,7 @@ import random
 from itertools import product
 from math import prod
 
+import numpy as np
 import pytest
 
 from conestab import graded
@@ -151,6 +152,18 @@ class TestHilbertTable:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             hilbert_table(flag_datum(), -1)
+
+    def test_degrees_are_integers(self):
+        d = flag_datum()
+        hilbert_table(d, 2)
+        misses = graded._table.cache_info().misses
+        with pytest.raises(TypeError):
+            graded_dim(d, 2.0)
+        with pytest.raises(TypeError):
+            hilbert_table(d, 3.0)
+        assert graded._table.cache_info().misses == misses
+        assert hilbert_table(d, np.int64(2)) == [1, 8, 27]
+        assert graded_dim(d, np.int64(2)) == 27
 
 
 def trivial_data(rng, count):

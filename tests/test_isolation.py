@@ -6,7 +6,7 @@ qualified name.  The two sets may meet only in ``_SHARED``: the integer
 dot and cross products and the accessor for a datum's six weights.
 
 A profiler sees calls only.  Module-level data, such as
-``stability._BY_RANK`` or ``verify._SWEEP_PATTERN_COLUMNS``, is built at
+``stability._BY_RANK`` or ``verify._PATTERNS_WITHIN``, is built at
 import time and is invisible here; so is a result kept on a datum, which
 is why each side gets freshly built data and graded's table cache is
 cleared first.
@@ -32,7 +32,7 @@ from conestab.verify import (
     _intcone_hypothesis,
     _primitive_direction_array,
     _sweep_columns,
-    _sweep_flags,
+    _sweep_bits,
     datum_stream,
 )
 
@@ -71,7 +71,7 @@ PAIRS = [
      _classify_all(classify_by_one_ps), _classify_all(classify_by_cone)),
     ("fan forms", _fresh_data, fan_condition, fan_condition_membership),
     ("gordan", _fresh_data, find_invariant_monomial, lambda d: strictly_separates(d.weights())),
-    ("hm sweep", _fresh_data, lambda d: _sweep_flags(_sweep_columns(d, 50), _DIRECTIONS),
+    ("hm sweep", _fresh_data, lambda d: _sweep_bits(_sweep_columns(d, 50), _DIRECTIONS),
      _classify_all(classify_by_one_ps)),
     ("main theorem", _fresh_data, fan_condition, lambda d: d._one_ps_bits),
     ("intcone", lambda: _TRIPLES, lambda t: _intcone_hypothesis(*t), _cone2_membership),

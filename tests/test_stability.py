@@ -4,6 +4,7 @@ import random
 from itertools import product
 from math import gcd
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -45,6 +46,19 @@ class TestSupportPattern:
             SupportPattern(frozenset({0}), frozenset())
         with pytest.raises(ValueError):
             SupportPattern(frozenset({1}), frozenset({4}))
+
+    def test_indices_are_plain_ints(self):
+        d = flag_datum()
+        p = SupportPattern(frozenset({np.int64(1)}), frozenset({np.int64(2)}))
+        q = SupportPattern(frozenset({1}), frozenset({2}))
+        assert p == q and hash(p) == hash(q)
+        assert {type(i) for i in p.z_support | p.w_support} == {int}
+        assert type(p._mask) is int
+        assert classify_by_one_ps(d, p) is classify_by_one_ps(d, q) is S.STABLE
+        assert classify_by_cone(d, p) is classify_by_cone(d, q) is S.STABLE
+        assert str(SupportPattern(frozenset({True}), frozenset())) == "z{1}w{-}"
+        with pytest.raises(TypeError):
+            SupportPattern(frozenset({1.0}), frozenset())
 
     def test_pattern_count(self):
         assert len(ALL_PATTERNS) == 64

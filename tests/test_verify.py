@@ -227,7 +227,7 @@ class TestHmReductionSuite:
         "coord_bound, constrained",
         [(2, True), (2, False), (20, True), (20, False), (2**61, True), (2**61, False)],
     )
-    def test_sweep_flags_match_exact_weights(self, sweep_bound, coord_bound, constrained):
+    def test_sweep_bits_match_exact_weights(self, sweep_bound, coord_bound, constrained):
         dirs = verify._primitive_direction_array(sweep_bound)
         alphas = [(int(x), int(y)) for x, y in dirs]
         cfg = TrialConfig(
@@ -237,11 +237,12 @@ class TestHmReductionSuite:
         for d in datum_stream(cfg):
             cols = verify._sweep_columns(d, sweep_bound)
             regimes.add(cols.dtype == object)
-            expected = []
+            negative = zero = 0
             for p in ALL_PATTERNS:
                 weights = [hm_weight(d, p, alpha) for alpha in alphas]
-                expected.append((any(w < 0 for w in weights), any(w == 0 for w in weights)))
-            assert verify._sweep_flags(cols, dirs) == expected
+                negative |= any(w < 0 for w in weights) << p._mask
+                zero |= any(w == 0 for w in weights) << p._mask
+            assert verify._sweep_bits(cols, dirs) == (negative, zero)
         # int64 for small coordinates, exact Python integers near 2**61
         if coord_bound < 2**61:
             assert regimes == {False}
@@ -280,6 +281,20 @@ class TestHmReductionSuite:
     def test_rejects_bad_sweep_bound(self):
         with pytest.raises(ValueError):
             verify_hm_reduction(TrialConfig(), sweep_bound=0)
+
+    def test_sweep_bound_is_capped(self, monkeypatch):
+        # the box of the cap itself is swept with the bound-1 directions:
+        # no large sweep runs here
+        small = verify._primitive_direction_array(1)
+        built = []
+        monkeypatch.setattr(verify, "_primitive_direction_array", lambda b: built.append(b) or small)
+        cap = verify.MAX_SWEEP_BOUND
+        assert cap >= 50  # the default, and the bound of every caller
+        with pytest.raises(ValueError, match="sweep_bound"):
+            verify_hm_reduction(TrialConfig(trials=1), sweep_bound=cap + 1)
+        assert built == []
+        report = verify_hm_reduction(TrialConfig(trials=1), sweep_bound=cap)
+        assert built == [cap] and report.details["sweep_bound"] == cap
 
     @pytest.mark.parametrize(
         "name, fault, message",
